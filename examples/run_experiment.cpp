@@ -131,6 +131,8 @@ int main(int argc, char** argv) {
   // DST repro mode: swap in the fault-schedule explorer's cluster base
   // so `dst_explore`'s one-line repro commands replay the exact run
   // (same manager, discovery knobs, audit cadence, watchdog, journal).
+  // Every knob read below then defaults to that base's value; outside
+  // dst mode the CLI's own defaults apply.
   const bool dst_mode = config.get_bool("dst", false);
   const double watchdog_s =
       config.get_double("watchdog_s", dst_mode ? 30.0 : 0.0);
@@ -145,34 +147,43 @@ int main(int argc, char** argv) {
     base.sim_jobs = cc.sim_jobs;
     cc = base;
   }
-  cc.network.loss_probability = config.get_double("loss", 0.0);
-  cc.network.duplicate_probability = config.get_double("dup", 0.0);
-  cc.network.reorder_probability = config.get_double("reorder", 0.0);
-  cc.network.reorder_delay =
-      common::from_millis(config.get_double("reorder_delay_ms", 250.0));
-  cc.urgency_enabled = config.get_bool("urgency", true);
-  cc.sticky_peers = config.get_bool("sticky_peers", false);
-  cc.hint_discovery = config.get_bool("hint_discovery", false);
+  cc.network.loss_probability =
+      config.get_double("loss", cc.network.loss_probability);
+  cc.network.duplicate_probability =
+      config.get_double("dup", cc.network.duplicate_probability);
+  cc.network.reorder_probability =
+      config.get_double("reorder", cc.network.reorder_probability);
+  cc.network.reorder_delay = common::from_millis(config.get_double(
+      "reorder_delay_ms",
+      dst_mode ? common::to_millis(cc.network.reorder_delay) : 250.0));
+  cc.urgency_enabled = config.get_bool("urgency", cc.urgency_enabled);
+  cc.sticky_peers = config.get_bool("sticky_peers", cc.sticky_peers);
+  cc.hint_discovery = config.get_bool("hint_discovery", cc.hint_discovery);
   if (config.get_string("local_take", "drain") == "limited")
     cc.local_take = core::LocalTakePolicy::kRateLimited;
-  cc.federation_pools = config.get_int("pools", 0);
-  cc.federation_fanout = config.get_int("fanout", 8);
-  cc.federation_low_water_watts = config.get_double("low_water", 30.0);
+  cc.federation_pools = config.get_int("pools", cc.federation_pools);
+  cc.federation_fanout = config.get_int("fanout", cc.federation_fanout);
+  cc.federation_low_water_watts =
+      config.get_double("low_water", cc.federation_low_water_watts);
 
   // Membership + churn (off by default; zero-churn runs with membership
   // off stay bit-identical to the pre-membership golden trace). The
   // churn schedule is drawn from a seed-derived stream, so churn=1
   // composes with seeds=/managers=/jobs= sweeps deterministically.
-  cc.membership_enabled = config.get_bool("membership", false);
-  cc.membership.heartbeat_period =
-      common::from_millis(config.get_double("heartbeat_ms", 1000.0));
+  cc.membership_enabled =
+      config.get_bool("membership", cc.membership_enabled);
+  cc.membership.heartbeat_period = common::from_millis(config.get_double(
+      "heartbeat_ms", common::to_millis(cc.membership.heartbeat_period)));
   cc.membership.suspect_after_missed =
-      static_cast<std::uint32_t>(config.get_int("suspect_missed", 3));
-  cc.membership.dead_after_missed =
-      static_cast<std::uint32_t>(config.get_int("dead_missed", 6));
-  cc.churn_enabled = config.get_bool("churn", false);
-  cc.churn_mtbf_seconds = config.get_double("mtbf", 120.0);
-  cc.churn_mttr_seconds = config.get_double("mttr", 10.0);
+      static_cast<std::uint32_t>(config.get_int(
+          "suspect_missed",
+          static_cast<int>(cc.membership.suspect_after_missed)));
+  cc.membership.dead_after_missed = static_cast<std::uint32_t>(
+      config.get_int("dead_missed",
+                     static_cast<int>(cc.membership.dead_after_missed)));
+  cc.churn_enabled = config.get_bool("churn", cc.churn_enabled);
+  cc.churn_mtbf_seconds = config.get_double("mtbf", cc.churn_mtbf_seconds);
+  cc.churn_mttr_seconds = config.get_double("mttr", cc.churn_mttr_seconds);
 
   double kill_server_at = config.get_double("kill_server_at", 0.0);
   if (kill_server_at > 0.0) {
@@ -220,12 +231,15 @@ int main(int argc, char** argv) {
   std::string metrics_path = config.get_string("metrics", "");
   // flight_ring= is the documented name; flight_recorder= predates it
   // and keeps working.
+  const int default_ring = perfetto_path.empty() ? 0 : 1 << 16;
   cc.flight_recorder_capacity = static_cast<std::size_t>(config.get_int(
       "flight_ring",
       config.get_int("flight_recorder",
-                     perfetto_path.empty() ? 0 : 1 << 16)));
-  cc.flow_tracer_capacity = static_cast<std::size_t>(
-      config.get_int("flow_ring", perfetto_path.empty() ? 0 : 1 << 16));
+                     dst_mode ? static_cast<int>(cc.flight_recorder_capacity)
+                              : default_ring)));
+  cc.flow_tracer_capacity = static_cast<std::size_t>(config.get_int(
+      "flow_ring", dst_mode ? static_cast<int>(cc.flow_tracer_capacity)
+                            : default_ring));
   if (!trace_path.empty() || !perfetto_path.empty()) {
     cc.trace_interval =
         common::from_millis(config.get_double("trace_ms", 1000.0));
@@ -233,10 +247,11 @@ int main(int argc, char** argv) {
   // Windowed series + health sampling: on when series= names an output
   // file or series_window= is set explicitly.
   std::string series_path = config.get_string("series", "");
-  double series_window_ms = config.get_double(
-      "series_window", series_path.empty() ? 0.0 : 250.0);
-  cc.series_interval = common::from_millis(series_window_ms);
-  cc.health_epsilon = config.get_double("health_epsilon", 0.01);
+  double default_window_ms = series_path.empty() ? 0.0 : 250.0;
+  if (dst_mode) default_window_ms = common::to_millis(cc.series_interval);
+  cc.series_interval = common::from_millis(
+      config.get_double("series_window", default_window_ms));
+  cc.health_epsilon = config.get_double("health_epsilon", cc.health_epsilon);
 
   std::string apps = config.get_string("apps", "EP,DC");
   auto comma = apps.find(',');

@@ -11,12 +11,6 @@
 namespace penelope::cluster {
 
 namespace {
-/// Hard cap on the timed-out-transaction maps (S2): the horizon prune
-/// alone cannot bound them when every entry is recent.
-constexpr std::size_t kStaleCap = 256;
-/// Entries older than this many periods are certainly dead: the fabric's
-/// redelivery horizon is far shorter than 64 control periods.
-constexpr common::Ticks kStaleHorizonPeriods = 64;
 /// Txn-id stream for membership/reclaim journal records: reclaimed
 /// watts are attributable to (dead node, incarnation) straight from the
 /// id, like grants are to their minting node.
@@ -26,11 +20,29 @@ std::uint64_t membership_txn(std::int32_t node, std::uint32_t incarnation) {
   return core::make_txn_id(node, kMembershipStream, incarnation);
 }
 
-/// Shared server-side bookkeeping for a detector signal about `peer`.
-void note_server_signal(ClusterMetrics& metrics, common::Ticks now,
-                        const core::FailureDetector& detector,
-                        net::NodeId observer, std::int32_t peer,
-                        core::MembershipSignal signal) {
+/// A crash strands a node's live watts above the safe minimum against
+/// (node, incarnation) for epoch-guarded reclamation. They were live,
+/// not in flight, hence the residue variant.
+void strand_crash_residue(ClusterMetrics& metrics, common::Ticks now,
+                          net::NodeId node, std::uint32_t incarnation,
+                          double residue) {
+  if (residue <= 0.0) return;
+  metrics.strand_residue_against(node, incarnation, residue);
+  metrics.recorder().record(now, membership_txn(node, incarnation),
+                            telemetry::TxnEventKind::kStranded, node,
+                            net::kNoNode, residue);
+}
+
+/// Journal a detector signal `observer` got about `peer`. kRecovered: the
+/// peer we suspected (or buried) is talking at the incarnation we
+/// condemned, so the suspicion was false. Nothing to undo — if its tag
+/// was reclaimed, that consumption was exactly-once and the peer
+/// readmits itself at fair share like any rejoiner. kFresh is routine;
+/// kStaleQuarantined is a ghost of a dead incarnation and deliberately
+/// earns no liveness credit and no ledger movement.
+void note_signal(ClusterMetrics& metrics, common::Ticks now,
+                 const core::FailureDetector& detector, net::NodeId observer,
+                 std::int32_t peer, core::MembershipSignal signal) {
   if (signal == core::MembershipSignal::kRecovered) {
     metrics.record_false_suspicion();
     metrics.recorder().record(
@@ -42,24 +54,104 @@ void note_server_signal(ClusterMetrics& metrics, common::Ticks now,
         telemetry::TxnEventKind::kPeerRejoined, observer, peer, 0.0);
   }
 }
-}  // namespace
 
-void bound_stale_map(
-    std::unordered_map<std::uint64_t, common::Ticks>& stale,
-    common::Ticks horizon, std::size_t cap) {
-  if (stale.size() <= cap) return;
-  std::erase_if(stale,
-                [horizon](const auto& kv) { return kv.second < horizon; });
-  // A loss burst can leave every entry inside the horizon; evict oldest
-  // until the cap holds. Linear min-scans are fine at cap = 256.
-  while (stale.size() > cap) {
-    auto oldest = stale.begin();
-    for (auto it = stale.begin(); it != stale.end(); ++it) {
-      if (it->second < oldest->second) oldest = it;
+/// Journal one detector tick's transitions as `observer` saw them. A
+/// peer declared dead has its (node, incarnation) tag consumed —
+/// exactly one declarer cluster-wide gets the watts — and the reclaimed
+/// watts go back into circulation through `put_back`.
+template <typename PutBack>
+void journal_transitions(
+    ClusterMetrics& metrics, common::Ticks now, net::NodeId observer,
+    const std::vector<core::MembershipTransition>& transitions,
+    PutBack&& put_back) {
+  for (const core::MembershipTransition& t : transitions) {
+    const std::uint64_t txn = membership_txn(t.peer, t.incarnation);
+    if (t.to == core::PeerLiveness::kSuspected) {
+      metrics.record_suspicion();
+      metrics.recorder().record(now, txn,
+                                telemetry::TxnEventKind::kPeerSuspected,
+                                observer, t.peer, 0.0);
+    } else if (t.to == core::PeerLiveness::kDead) {
+      metrics.record_declared_dead();
+      metrics.recorder().record(now, txn,
+                                telemetry::TxnEventKind::kPeerDeclaredDead,
+                                observer, t.peer, 0.0);
+      double reclaimed = metrics.reclaim_from(t.peer, t.incarnation);
+      if (reclaimed > 0.0) {
+        put_back(reclaimed);
+        metrics.recorder().record(now, txn,
+                                  telemetry::TxnEventKind::kReclaimed,
+                                  observer, t.peer, reclaimed);
+      }
     }
-    stale.erase(oldest);
   }
 }
+
+/// Queue overflow (and halt) strands donation watts, but only on the
+/// transaction's first sighting. Recording the txn in the window means
+/// a sibling copy that did get queued is later recognised as a
+/// duplicate instead of crediting watts that were already written off.
+void strand_dropped_donation(core::TxnWindow& window, ClusterMetrics& metrics,
+                             common::Ticks now, net::NodeId server,
+                             const net::Message& m) {
+  const auto* donation = m.as<central::CentralDonation>();
+  if (donation == nullptr || donation->watts <= 0.0) return;
+  const bool first = window.insert(donation->txn_id);
+  if (first) {
+    metrics.watts_stranded(donation->watts);
+  } else {
+    metrics.record_duplicate_drop(donation->watts);
+  }
+  metrics.recorder().record(
+      now, donation->txn_id,
+      first ? telemetry::TxnEventKind::kStranded
+            : telemetry::TxnEventKind::kDuplicateDropped,
+      server, m.src, donation->watts);
+}
+
+/// Donations and requests at either server actor, each applied at most
+/// once. Returns false when `msg` is neither.
+bool serve_central(central::ServerLogic& logic, core::TxnWindow& window,
+                   ClusterMetrics& metrics, net::Network& net,
+                   common::Ticks now, net::NodeId server,
+                   const net::Message& msg) {
+  if (const auto* donation = msg.as<central::CentralDonation>()) {
+    if (!window.insert(donation->txn_id)) {
+      metrics.record_duplicate_drop(donation->watts);
+      metrics.recorder().record(now, donation->txn_id,
+                                telemetry::TxnEventKind::kDuplicateDropped,
+                                server, msg.src, donation->watts);
+      return true;
+    }
+    metrics.donation_arrived(donation->watts);
+    metrics.recorder().record(now, donation->txn_id,
+                              telemetry::TxnEventKind::kDonationReceived,
+                              server, msg.src, donation->watts);
+    logic.handle_donation(*donation);
+    return true;
+  }
+  const auto* request = msg.as<central::CentralRequest>();
+  if (request == nullptr) return false;
+  std::optional<central::CentralGrant> grant = core::serve_once(
+      window, *request,
+      [&logic](const central::CentralRequest& r) {
+        return logic.handle_request(r);
+      });
+  if (!grant) {
+    metrics.record_duplicate_drop(0.0);
+    metrics.recorder().record(now, request->txn_id,
+                              telemetry::TxnEventKind::kDuplicateDropped,
+                              server, msg.src, 0.0);
+    return true;
+  }
+  if (grant->watts > 0.0) metrics.grant_departed(grant->watts);
+  metrics.recorder().record(now, request->txn_id,
+                            telemetry::TxnEventKind::kRequestServed, server,
+                            msg.src, grant->watts);
+  net.send(server, msg.src, *grant);
+  return true;
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // NodeBody
@@ -146,7 +238,8 @@ PenelopeNodeActor::PenelopeNodeActor(
       pick_peer_(std::move(pick_peer)),
       metrics_(metrics),
       tick_task_(sim, config.start_offset, config.period,
-                 [this](common::Ticks now) { on_tick(now); }) {
+                 [this](common::Ticks now) { on_tick(now); }),
+      ledger_(config.period, config.test_revert_grant_fix) {
   PEN_CHECK(pick_peer_ != nullptr);
   body_.rapl().set_cap(decider_.cap());
   net_.register_endpoint(config.id,
@@ -217,28 +310,6 @@ bool PenelopeNodeActor::peer_unusable(NodeId peer) const {
          detector_->liveness(peer) == core::PeerLiveness::kDead;
 }
 
-void PenelopeNodeActor::note_membership_signal(
-    core::MembershipSignal signal, NodeId peer) {
-  if (signal == core::MembershipSignal::kRecovered) {
-    // The peer we suspected (or buried) is talking at the incarnation we
-    // condemned: the suspicion was false. Nothing to undo — if its tag
-    // was reclaimed, that consumption was exactly-once and the peer
-    // readmits itself at fair share like any rejoiner.
-    metrics_.record_false_suspicion();
-    metrics_.recorder().record(
-        sim_.now(), membership_txn(peer, detector_->incarnation(peer)),
-        telemetry::TxnEventKind::kFalseSuspicion, body_.config().id, peer,
-        0.0);
-  } else if (signal == core::MembershipSignal::kRejoined) {
-    metrics_.recorder().record(
-        sim_.now(), membership_txn(peer, detector_->incarnation(peer)),
-        telemetry::TxnEventKind::kPeerRejoined, body_.config().id, peer,
-        0.0);
-  }
-  // kFresh: routine. kStaleQuarantined: a ghost of a dead incarnation;
-  // deliberately no liveness credit and no ledger movement.
-}
-
 void PenelopeNodeActor::membership_tick(common::Ticks now) {
   if (!detector_) return;
   if (now >= next_heartbeat_at_) {
@@ -250,32 +321,12 @@ void PenelopeNodeActor::membership_tick(common::Ticks now) {
   }
   transitions_.clear();
   detector_->tick(now, transitions_);
-  for (const core::MembershipTransition& t : transitions_) {
-    if (t.to == core::PeerLiveness::kSuspected) {
-      metrics_.record_suspicion();
-      metrics_.recorder().record(now, membership_txn(t.peer, t.incarnation),
-                                 telemetry::TxnEventKind::kPeerSuspected,
-                                 body_.config().id, t.peer, 0.0);
-    } else if (t.to == core::PeerLiveness::kDead) {
-      metrics_.record_declared_dead();
-      metrics_.recorder().record(
-          now, membership_txn(t.peer, t.incarnation),
-          telemetry::TxnEventKind::kPeerDeclaredDead, body_.config().id,
-          t.peer, 0.0);
-      // Epoch-guarded reclamation: consume the dead peer's (node,
-      // incarnation) tag — exactly one declarer cluster-wide gets the
-      // watts — and put them back into circulation through this pool.
-      double reclaimed = metrics_.reclaim_from(t.peer, t.incarnation);
-      if (reclaimed > 0.0) {
-        pool_.deposit(reclaimed);
-        metrics_.record_release(now, reclaimed, body_.config().id);
-        metrics_.recorder().record(
-            now, membership_txn(t.peer, t.incarnation),
-            telemetry::TxnEventKind::kReclaimed, body_.config().id, t.peer,
-            reclaimed);
-      }
-    }
-  }
+  journal_transitions(metrics_, now, body_.config().id, transitions_,
+                      [&](double reclaimed) {
+                        pool_.deposit(reclaimed);
+                        metrics_.record_release(now, reclaimed,
+                                                body_.config().id);
+                      });
 }
 
 void PenelopeNodeActor::crash() {
@@ -284,31 +335,20 @@ void PenelopeNodeActor::crash() {
   if (observer_dirty_) *observer_dirty_ = 1;
   management_alive_ = false;
   // Volatile protocol state dies with the process.
-  if (outstanding_) {
-    sim_.cancel(outstanding_->timeout_event);
-    outstanding_.reset();
-  }
-  stale_sent_times_.clear();
+  if (ledger_.outstanding()) sim_.cancel(timeout_event_);
+  ledger_.reset();
   peer_health_.clear();
   sticky_peer_ = net::kNoNode;
   hinted_peer_ = net::kNoNode;
   last_queried_peer_ = net::kNoNode;
-  grant_window_.reset();
   request_window_.reset();
   pool_service_.halt();
-  // Live power above the firmware-default safe minimum is seized and
-  // stranded against this incarnation: the banked pool plus the cap
-  // share. It was live — not in flight — hence the residue variant.
+  // The banked pool and the cap share above the firmware-default safe
+  // minimum are seized.
   double residue = pool_.drain() + decider_.seize_for_restart();
   body_.rapl().set_cap(decider_.cap());
-  if (residue > 0.0) {
-    metrics_.strand_residue_against(body_.config().id, incarnation_,
-                                    residue);
-    metrics_.recorder().record(
-        sim_.now(), membership_txn(body_.config().id, incarnation_),
-        telemetry::TxnEventKind::kStranded, body_.config().id,
-        net::kNoNode, residue);
-  }
+  strand_crash_residue(metrics_, sim_.now(), body_.config().id,
+                       incarnation_, residue);
   net_.fail_node(body_.config().id);
 }
 
@@ -348,16 +388,16 @@ void PenelopeNodeActor::restart() {
 void PenelopeNodeActor::on_message(const net::Message& msg) {
   if (detector_ && msg.src >= 0 && msg.src != body_.config().id) {
     if (const auto* beat = msg.as<core::Heartbeat>()) {
-      note_membership_signal(
-          detector_->observe_heartbeat(beat->node, beat->incarnation,
-                                       sim_.now()),
-          msg.src);
+      note_signal(metrics_, sim_.now(), *detector_, body_.config().id,
+                  msg.src,
+                  detector_->observe_heartbeat(beat->node, beat->incarnation,
+                                               sim_.now()));
       return;
     }
     // Piggybacked liveness: any protocol message proves the sender is up
     // at its last-known incarnation.
-    note_membership_signal(detector_->observe_traffic(msg.src, sim_.now()),
-                           msg.src);
+    note_signal(metrics_, sim_.now(), *detector_, body_.config().id, msg.src,
+                detector_->observe_traffic(msg.src, sim_.now()));
   } else if (msg.as<core::Heartbeat>() != nullptr) {
     return;  // membership disabled here; a peer's beacon is just noise
   }
@@ -373,7 +413,7 @@ void PenelopeNodeActor::on_message(const net::Message& msg) {
     // pool; they land in ours (or strand if our management is dead).
     // The window check comes first so a redelivered push can neither
     // deposit nor strand its watts a second time.
-    if (!grant_window_.insert(push->txn_id)) {
+    if (!ledger_.admit(push->txn_id)) {
       metrics_.record_duplicate_drop(push->watts);
       metrics_.recorder().record(sim_.now(), push->txn_id,
                                  telemetry::TxnEventKind::kDuplicateDropped,
@@ -402,16 +442,16 @@ void PenelopeNodeActor::on_pool_request(const net::Message& msg) {
   const auto* request = msg.as<core::PowerRequest>();
   PEN_CHECK(request != nullptr);
   if (!management_alive_) return;
-  // A redelivered request must not debit the pool twice (the first copy's
-  // grant is the transaction's one answer; the requester dedups it too).
-  if (!request_window_.insert(request->txn_id)) {
+  std::optional<core::PowerGrant> grant =
+      core::serve_request(request_window_, pool_, *request);
+  if (!grant) {
     metrics_.record_duplicate_drop(0.0);
     metrics_.recorder().record(sim_.now(), request->txn_id,
                                telemetry::TxnEventKind::kDuplicateDropped,
                                body_.config().id, msg.src, 0.0);
     return;
   }
-  double granted = pool_.serve(*request);
+  const double granted = grant->watts;
   if (granted > 0.0) metrics_.grant_departed(granted);
   metrics_.recorder().record(sim_.now(), request->txn_id,
                              telemetry::TxnEventKind::kRequestServed,
@@ -425,35 +465,24 @@ void PenelopeNodeActor::on_pool_request(const net::Message& msg) {
                              static_cast<std::int32_t>(msg.src), granted,
                              "grant");
   }
-  core::PowerGrant grant{granted, request->txn_id};
   if (body_.config().hint_discovery && granted <= 0.0 &&
       sticky_peer_ != net::kNoNode && sticky_peer_ != msg.src) {
     // Empty-handed: refer the requester to the peer that last paid us.
-    grant.hint_peer = sticky_peer_;
+    grant->hint_peer = sticky_peer_;
   }
-  net_.send(body_.config().id, msg.src, grant);
-}
-
-void PenelopeNodeActor::prune_stale() {
-  bound_stale_map(stale_sent_times_,
-                  sim_.now() - kStaleHorizonPeriods * body_.config().period,
-                  kStaleCap);
+  net_.send(body_.config().id, msg.src, *grant);
 }
 
 void PenelopeNodeActor::resolve_outstanding_as_timeout() {
-  if (!outstanding_ || !management_alive_) return;
+  if (!ledger_.outstanding() || !management_alive_) return;
+  const core::RequestLedger::Request expired = ledger_.expire(sim_.now());
   metrics_.record_timeout();
-  metrics_.recorder().record(sim_.now(), outstanding_->txn,
+  metrics_.recorder().record(sim_.now(), expired.txn,
                              telemetry::TxnEventKind::kTimeout,
-                             body_.config().id, outstanding_->peer, 0.0);
+                             body_.config().id, expired.peer, 0.0);
   sticky_peer_ = net::kNoNode;  // a silent peer is not worth retrying
-  note_peer_timeout(outstanding_->peer);
-  stale_sent_times_[outstanding_->txn] = outstanding_->sent_at;
-  // Bound the map: entries whose grants were genuinely lost would
-  // otherwise accumulate over long lossy runs.
-  prune_stale();
-  sim_.cancel(outstanding_->timeout_event);
-  outstanding_.reset();
+  note_peer_timeout(expired.peer);
+  sim_.cancel(timeout_event_);
   // The decider's pending step resolves with nothing; the localUrgency
   // check still runs so a timed-out urgent round cannot wedge releases.
   decider_.complete_peer_grant(0.0);
@@ -469,7 +498,7 @@ void PenelopeNodeActor::on_tick(common::Ticks now) {
   // A request from the previous period that never resolved is a timeout
   // (dead peer, lost packet): Figure 3's fault tolerance comes from this
   // path — the decider just moves on.
-  if (outstanding_) resolve_outstanding_as_timeout();
+  if (ledger_.outstanding()) resolve_outstanding_as_timeout();
 
   core::StepOutcome outcome = decider_.begin_step(measured);
   metrics_.record_decider_step();
@@ -522,20 +551,15 @@ void PenelopeNodeActor::on_tick(common::Ticks now) {
                                  body_.config().id, peer,
                                  outcome.request.alpha_watts);
       net_.send(body_.config().id, peer, outcome.request);
-      Outstanding out;
-      out.txn = outcome.request.txn_id;
-      out.sent_at = now;
-      out.peer = peer;
-      out.timeout_event = sim_.schedule_after(
+      ledger_.open(outcome.request.txn_id, now, peer);
+      timeout_event_ = sim_.schedule_after(
           body_.config().request_timeout, [this] {
             // Cancelling a fired id is a detected no-op in the engine
             // (generation-checked); clearing it here just keeps the
             // record honest about having no pending timeout.
-            if (outstanding_)
-              outstanding_->timeout_event = sim::kInvalidEventId;
+            timeout_event_ = sim::kInvalidEventId;
             resolve_outstanding_as_timeout();
           });
-      outstanding_ = out;
       break;
     }
   }
@@ -549,8 +573,7 @@ void PenelopeNodeActor::on_grant(const net::Message& msg) {
   // other branch can apply, bank, or strand its watts a second time.
   // The DST planted-bug hook reverts this hardening (and the late-grant
   // in-flight decrement below) so the swarm has a real bug to find.
-  if (!body_.config().test_revert_grant_fix &&
-      !grant_window_.insert(grant->txn_id)) {
+  if (!ledger_.admit_grant(grant->txn_id)) {
     metrics_.record_duplicate_drop(grant->watts);
     metrics_.recorder().record(sim_.now(), grant->txn_id,
                                telemetry::TxnEventKind::kDuplicateDropped,
@@ -570,14 +593,14 @@ void PenelopeNodeActor::on_grant(const net::Message& msg) {
     return;
   }
 
-  if (outstanding_ && outstanding_->txn == grant->txn_id) {
-    sim_.cancel(outstanding_->timeout_event);
-    metrics_.record_turnaround(outstanding_->sent_at, sim_.now());
+  const core::RequestLedger::Arrival arrival = ledger_.match(grant->txn_id);
+  if (arrival.verdict == core::RequestLedger::Verdict::kAnswered) {
+    sim_.cancel(timeout_event_);
+    metrics_.record_turnaround(arrival.request.sent_at, sim_.now());
     metrics_.recorder().record(sim_.now(), grant->txn_id,
                                telemetry::TxnEventKind::kGrantReceived,
                                body_.config().id, msg.src, grant->watts);
-    note_peer_answered(outstanding_->peer);
-    outstanding_.reset();
+    note_peer_answered(arrival.request.peer);
     if (body_.config().sticky_peers || body_.config().hint_discovery) {
       sticky_peer_ = grant->watts > 0.0 ? last_queried_peer_ : net::kNoNode;
     }
@@ -619,14 +642,13 @@ void PenelopeNodeActor::on_grant(const net::Message& msg) {
     return;
   }
 
-  // A grant for a transaction we already gave up on. The power is real —
-  // the peer debited its pool — so bank it in the local pool; the next
-  // hungry step takes it from there. Nothing is lost, just late, and the
-  // waiting time still belongs in the turnaround distribution.
-  auto stale = stale_sent_times_.find(grant->txn_id);
-  if (stale != stale_sent_times_.end()) {
-    metrics_.record_turnaround(stale->second, sim_.now());
-    stale_sent_times_.erase(stale);
+  // A grant for a transaction we already gave up on (or, kUnknown, have
+  // no record of). The power is real — the peer debited its pool — so
+  // bank it in the local pool; the next hungry step takes it from there.
+  // Nothing is lost, just late, and the waiting time of a late grant
+  // still belongs in the turnaround distribution.
+  if (arrival.verdict == core::RequestLedger::Verdict::kLate) {
+    metrics_.record_turnaround(arrival.request.sent_at, sim_.now());
   } else {
     // Rate-limited: a hostile fault schedule (or the DST planted bug)
     // can make unknown-txn grants arrive in bursts.
@@ -634,9 +656,6 @@ void PenelopeNodeActor::on_grant(const net::Message& msg) {
                        body_.config().id,
                        static_cast<unsigned long long>(grant->txn_id));
   }
-  // Grant arrivals also bound the stale map, so shrinking it does not
-  // have to wait for the next timeout.
-  prune_stale();
   metrics_.recorder().record(sim_.now(), grant->txn_id,
                              telemetry::TxnEventKind::kLateGrant,
                              body_.config().id, msg.src, grant->watts);
@@ -695,6 +714,7 @@ CentralClientActor::CentralClientActor(sim::Simulator& sim,
       metrics_(metrics),
       tick_task_(sim, config.start_offset, config.period,
                  [this](common::Ticks now) { on_tick(now); }),
+      ledger_(config.period),
       awaiting_assignment_(hierarchical) {
   body_.rapl().set_cap(client_.cap());
   net_.register_endpoint(
@@ -737,46 +757,28 @@ void CentralClientActor::donate(double watts, common::Ticks now) {
             central::CentralDonation{watts, txn});
 }
 
-void CentralClientActor::prune_stale() {
-  bound_stale_map(stale_sent_times_,
-                  sim_.now() - kStaleHorizonPeriods * body_.config().period,
-                  kStaleCap);
-}
-
 void CentralClientActor::resolve_outstanding_as_timeout() {
-  if (!outstanding_) return;
+  if (!ledger_.outstanding()) return;
+  const core::RequestLedger::Request expired = ledger_.expire(sim_.now());
   metrics_.record_timeout();
-  metrics_.recorder().record(sim_.now(), outstanding_->txn,
+  metrics_.recorder().record(sim_.now(), expired.txn,
                              telemetry::TxnEventKind::kTimeout,
                              body_.config().id, server_id_, 0.0);
-  stale_sent_times_[outstanding_->txn] = outstanding_->sent_at;
-  prune_stale();
-  sim_.cancel(outstanding_->timeout_event);
-  outstanding_.reset();
+  sim_.cancel(timeout_event_);
   client_.on_grant_timeout();
 }
 
 void CentralClientActor::crash() {
   if (crashed_) return;
   crashed_ = true;
-  if (outstanding_) {
-    sim_.cancel(outstanding_->timeout_event);
-    outstanding_.reset();
-  }
-  stale_sent_times_.clear();
-  grant_window_.reset();
+  if (ledger_.outstanding()) sim_.cancel(timeout_event_);
+  ledger_.reset();
   double residue = client_.seize_for_restart();
   body_.rapl().set_cap(client_.cap());
-  if (residue > 0.0) {
-    // Stranded against this incarnation; the server's detector reclaims
-    // it into the central budget (the SLURM-analogue path).
-    metrics_.strand_residue_against(body_.config().id, incarnation_,
-                                    residue);
-    metrics_.recorder().record(
-        sim_.now(), membership_txn(body_.config().id, incarnation_),
-        telemetry::TxnEventKind::kStranded, body_.config().id,
-        net::kNoNode, residue);
-  }
+  // The server's detector reclaims it into the central budget (the
+  // SLURM-analogue path).
+  strand_crash_residue(metrics_, sim_.now(), body_.config().id,
+                       incarnation_, residue);
   net_.fail_node(body_.config().id);
 }
 
@@ -819,7 +821,7 @@ void CentralClientActor::on_tick(common::Ticks now) {
     return;
   }
 
-  if (outstanding_) resolve_outstanding_as_timeout();
+  if (ledger_.outstanding()) resolve_outstanding_as_timeout();
 
   central::ClientStepOutcome outcome = client_.begin_step(measured);
   metrics_.record_decider_step();
@@ -837,16 +839,12 @@ void CentralClientActor::on_tick(common::Ticks now) {
                                  telemetry::TxnEventKind::kRequestSent,
                                  body_.config().id, server_id_, 0.0);
       net_.send(body_.config().id, server_id_, outcome.request);
-      Outstanding out;
-      out.txn = outcome.request.txn_id;
-      out.sent_at = now;
-      out.timeout_event = sim_.schedule_after(
+      ledger_.open(outcome.request.txn_id, now, server_id_);
+      timeout_event_ = sim_.schedule_after(
           body_.config().request_timeout, [this] {
-            if (outstanding_)
-              outstanding_->timeout_event = sim::kInvalidEventId;
+            timeout_event_ = sim::kInvalidEventId;
             resolve_outstanding_as_timeout();
           });
-      outstanding_ = out;
       break;
     }
   }
@@ -862,25 +860,29 @@ void CentralClientActor::on_grant(const net::Message& msg) {
 
   // At-most-once: count and drop a redelivered grant before any branch
   // can apply it (or obey its release order) twice.
-  if (!grant_window_.insert(grant->txn_id)) {
-    metrics_.record_duplicate_drop(grant->watts);
-    metrics_.recorder().record(sim_.now(), grant->txn_id,
-                               telemetry::TxnEventKind::kDuplicateDropped,
-                               body_.config().id, msg.src, grant->watts);
-    return;
-  }
-
-  bool matches = outstanding_ && outstanding_->txn == grant->txn_id;
-  if (matches) {
-    sim_.cancel(outstanding_->timeout_event);
-    metrics_.record_turnaround(outstanding_->sent_at, sim_.now());
-    metrics_.recorder().record(sim_.now(), grant->txn_id,
-                               telemetry::TxnEventKind::kGrantReceived,
-                               body_.config().id, msg.src, grant->watts);
-    outstanding_.reset();
-  } else {
-    auto stale = stale_sent_times_.find(grant->txn_id);
-    if (stale == stale_sent_times_.end()) {
+  const core::RequestLedger::Arrival arrival =
+      ledger_.classify(grant->txn_id);
+  switch (arrival.verdict) {
+    case core::RequestLedger::Verdict::kDuplicate:
+      metrics_.record_duplicate_drop(grant->watts);
+      metrics_.recorder().record(sim_.now(), grant->txn_id,
+                                 telemetry::TxnEventKind::kDuplicateDropped,
+                                 body_.config().id, msg.src, grant->watts);
+      return;
+    case core::RequestLedger::Verdict::kAnswered:
+      sim_.cancel(timeout_event_);
+      metrics_.record_turnaround(arrival.request.sent_at, sim_.now());
+      metrics_.recorder().record(sim_.now(), grant->txn_id,
+                                 telemetry::TxnEventKind::kGrantReceived,
+                                 body_.config().id, msg.src, grant->watts);
+      break;
+    case core::RequestLedger::Verdict::kLate:
+      metrics_.record_turnaround(arrival.request.sent_at, sim_.now());
+      metrics_.recorder().record(sim_.now(), grant->txn_id,
+                                 telemetry::TxnEventKind::kLateGrant,
+                                 body_.config().id, msg.src, grant->watts);
+      break;
+    case core::RequestLedger::Verdict::kUnknown:
       // A grant for a transaction this client has no record of — not
       // outstanding, not timed out. There is no legitimate sender for
       // it (the server only answers requests), so applying it would
@@ -903,13 +905,6 @@ void CentralClientActor::on_grant(const net::Message& msg) {
                    static_cast<unsigned long long>(grant->txn_id),
                    grant->watts);
       return;
-    }
-    metrics_.record_turnaround(stale->second, sim_.now());
-    stale_sent_times_.erase(stale);
-    prune_stale();
-    metrics_.recorder().record(sim_.now(), grant->txn_id,
-                               telemetry::TxnEventKind::kLateGrant,
-                               body_.config().id, msg.src, grant->watts);
   }
 
   if (grant->watts > 0.0) metrics_.grant_arrived(grant->watts);
@@ -928,46 +923,26 @@ void CentralClientActor::on_grant(const net::Message& msg) {
 }
 
 // ---------------------------------------------------------------------------
-// HierarchicalServerActor
+// ServerActor
 
-HierarchicalServerActor::HierarchicalServerActor(
-    sim::Simulator& sim, net::Network& net, NodeId id,
-    const hierarchy::PoddConfig& config,
-    const net::SerialServerConfig& service, ClusterMetrics& metrics)
+ServerActor::ServerActor(sim::Simulator& sim, net::Network& net, NodeId id,
+                         const net::SerialServerConfig& service,
+                         ClusterMetrics& metrics)
     : sim_(sim),
       net_(net),
       id_(id),
-      logic_(config),
+      metrics_(metrics),
       service_(sim, service,
-               [this](const net::Message& m) { process(m); }),
-      metrics_(metrics) {
+               [this](const net::Message& m) { process(m); }) {
   net_.register_endpoint(
       id_, [this](const net::Message& m) { service_.inbox(m); });
-  // Queue overflow (and halt) strands donation watts — but only for the
-  // transaction's first sighting. Inserting into the window here means a
-  // sibling copy that did get queued is later recognised as a duplicate
-  // instead of crediting watts that were already written off.
   service_.set_drop_handler([this](const net::Message& m) {
-    if (const auto* donation = m.as<central::CentralDonation>()) {
-      if (donation->watts <= 0.0) return;
-      if (txn_window_.insert(donation->txn_id)) {
-        metrics_.watts_stranded(donation->watts);
-        metrics_.recorder().record(sim_.now(), donation->txn_id,
-                                   telemetry::TxnEventKind::kStranded, id_,
-                                   m.src, donation->watts);
-      } else {
-        metrics_.record_duplicate_drop(donation->watts);
-        metrics_.recorder().record(
-            sim_.now(), donation->txn_id,
-            telemetry::TxnEventKind::kDuplicateDropped, id_, m.src,
-            donation->watts);
-      }
-    }
+    strand_dropped_donation(txn_window_, metrics_, sim_.now(), id_, m);
   });
 }
 
-void HierarchicalServerActor::enable_membership(
-    const core::MembershipConfig& config, int n_clients) {
+void ServerActor::enable_membership(const core::MembershipConfig& config,
+                                    int n_clients) {
   detector_.emplace(config);
   for (int client = 0; client < n_clients; ++client)
     detector_->track(client, sim_.now());
@@ -976,34 +951,66 @@ void HierarchicalServerActor::enable_membership(
                          [this](common::Ticks now) { membership_tick(now); });
 }
 
-void HierarchicalServerActor::membership_tick(common::Ticks now) {
+void ServerActor::membership_tick(common::Ticks now) {
   if (!alive_ || !detector_) return;
   transitions_.clear();
   detector_->tick(now, transitions_);
+  // SLURM-analogue reclamation: the dead client's seized share (and
+  // anything stranded toward it) returns to the server budget.
+  journal_transitions(metrics_, now, id_, transitions_,
+                      [this](double w) { central_logic().reclaim(w); });
   for (const core::MembershipTransition& t : transitions_) {
-    if (t.to == core::PeerLiveness::kSuspected) {
-      metrics_.record_suspicion();
-      metrics_.recorder().record(now, membership_txn(t.peer, t.incarnation),
-                                 telemetry::TxnEventKind::kPeerSuspected,
-                                 id_, t.peer, 0.0);
-    } else if (t.to == core::PeerLiveness::kDead) {
-      metrics_.record_declared_dead();
-      metrics_.recorder().record(
-          now, membership_txn(t.peer, t.incarnation),
-          telemetry::TxnEventKind::kPeerDeclaredDead, id_, t.peer, 0.0);
-      double reclaimed = metrics_.reclaim_from(t.peer, t.incarnation);
-      if (reclaimed > 0.0) {
-        logic_.central().reclaim(reclaimed);
-        metrics_.recorder().record(
-            now, membership_txn(t.peer, t.incarnation),
-            telemetry::TxnEventKind::kReclaimed, id_, t.peer, reclaimed);
-      }
-      // A node dead mid-profiling-window must not gate the window or
-      // skew the survivors' assignment with its stale draw; expiry can
-      // itself close the window (everyone else already reported).
-      if (logic_.expire_reports(t.peer)) maybe_send_assignments();
-    }
+    if (t.to == core::PeerLiveness::kDead) on_peer_epoch_end(t.peer);
   }
+}
+
+void ServerActor::process(const net::Message& msg) {
+  if (detector_ && msg.src >= 0) {
+    if (const auto* beat = msg.as<core::Heartbeat>()) {
+      core::MembershipSignal signal = detector_->observe_heartbeat(
+          beat->node, beat->incarnation, sim_.now());
+      note_signal(metrics_, sim_.now(), *detector_, id_, beat->node, signal);
+      if (signal == core::MembershipSignal::kRejoined)
+        on_peer_epoch_end(beat->node);
+      return;
+    }
+    note_signal(metrics_, sim_.now(), *detector_, id_, msg.src,
+                detector_->observe_traffic(msg.src, sim_.now()));
+  } else if (msg.as<core::Heartbeat>() != nullptr) {
+    return;
+  }
+  if (handle_other(msg) ||
+      serve_central(central_logic(), txn_window_, metrics_, net_, sim_.now(),
+                    id_, msg))
+    return;
+  PEN_LOG_WARN("server %d: unexpected payload from %d", id_, msg.src);
+}
+
+void ServerActor::kill() {
+  if (!alive_) return;
+  alive_ = false;
+  // Order matters: halting the service strands queued donations through
+  // the drop handler; failing the node makes the network strand
+  // everything already in flight toward it on arrival.
+  service_.halt();
+  net_.fail_node(id_);
+}
+
+// ---------------------------------------------------------------------------
+// HierarchicalServerActor
+
+HierarchicalServerActor::HierarchicalServerActor(
+    sim::Simulator& sim, net::Network& net, NodeId id,
+    const hierarchy::PoddConfig& config,
+    const net::SerialServerConfig& service, ClusterMetrics& metrics)
+    : ServerActor(sim, net, id, service, metrics), logic_(config) {}
+
+void HierarchicalServerActor::on_peer_epoch_end(std::int32_t peer) {
+  // A restarted peer's reports describe a workload state that no longer
+  // exists (its fresh incarnation's reports readmit it), and a dead
+  // one's must not gate the profiling window or skew the survivors'
+  // assignment. Expiry can itself close the window.
+  if (logic_.expire_reports(peer)) maybe_send_assignments();
 }
 
 void HierarchicalServerActor::maybe_send_assignments() {
@@ -1018,82 +1025,20 @@ void HierarchicalServerActor::maybe_send_assignments() {
   }
 }
 
-void HierarchicalServerActor::process(const net::Message& msg) {
-  if (detector_ && msg.src >= 0) {
-    if (const auto* beat = msg.as<core::Heartbeat>()) {
-      core::MembershipSignal signal = detector_->observe_heartbeat(
-          beat->node, beat->incarnation, sim_.now());
-      note_server_signal(metrics_, sim_.now(), *detector_, id_,
-                         beat->node, signal);
-      // Epoch bump: the peer restarted, so anything its previous
-      // incarnation reported describes a workload state that no longer
-      // exists. Drop it; the fresh incarnation's reports readmit it.
-      if (signal == core::MembershipSignal::kRejoined &&
-          logic_.expire_reports(beat->node)) {
-        maybe_send_assignments();
-      }
-      return;
-    }
-    note_server_signal(metrics_, sim_.now(), *detector_, id_, msg.src,
-                       detector_->observe_traffic(msg.src, sim_.now()));
-  } else if (msg.as<core::Heartbeat>() != nullptr) {
-    return;
+bool HierarchicalServerActor::handle_other(const net::Message& msg) {
+  const auto* report = msg.as<hierarchy::ProfileReport>();
+  if (report == nullptr) return false;
+  bool still_profiling = logic_.handle_profile_report(msg.src, *report);
+  if (!still_profiling && assignments_sent_) {
+    // Late reporter after the window already closed (rejoined node, or
+    // its CapAssignment was lost): re-send its assignment so it leaves
+    // the profiling phase instead of reporting forever.
+    net_.send(id_, msg.src,
+              hierarchy::CapAssignment{logic_.assigned_cap(msg.src)});
+    return true;
   }
-  if (const auto* report = msg.as<hierarchy::ProfileReport>()) {
-    bool still_profiling = logic_.handle_profile_report(msg.src, *report);
-    if (!still_profiling && assignments_sent_) {
-      // Late reporter after the window already closed (rejoined node,
-      // or its CapAssignment was lost): re-send its assignment so it
-      // leaves the profiling phase instead of reporting forever.
-      net_.send(id_, msg.src,
-                hierarchy::CapAssignment{logic_.assigned_cap(msg.src)});
-      return;
-    }
-    maybe_send_assignments();
-    return;
-  }
-  if (const auto* donation = msg.as<central::CentralDonation>()) {
-    if (!txn_window_.insert(donation->txn_id)) {
-      metrics_.record_duplicate_drop(donation->watts);
-      metrics_.recorder().record(
-          sim_.now(), donation->txn_id,
-          telemetry::TxnEventKind::kDuplicateDropped, id_, msg.src,
-          donation->watts);
-      return;
-    }
-    metrics_.donation_arrived(donation->watts);
-    metrics_.recorder().record(sim_.now(), donation->txn_id,
-                               telemetry::TxnEventKind::kDonationReceived,
-                               id_, msg.src, donation->watts);
-    logic_.central().handle_donation(*donation);
-    return;
-  }
-  if (const auto* request = msg.as<central::CentralRequest>()) {
-    // A redelivered request gets no second grant (and debits nothing);
-    // the first copy's reply is the transaction's one answer.
-    if (!txn_window_.insert(request->txn_id)) {
-      metrics_.record_duplicate_drop(0.0);
-      metrics_.recorder().record(
-          sim_.now(), request->txn_id,
-          telemetry::TxnEventKind::kDuplicateDropped, id_, msg.src, 0.0);
-      return;
-    }
-    central::CentralGrant grant = logic_.central().handle_request(*request);
-    if (grant.watts > 0.0) metrics_.grant_departed(grant.watts);
-    metrics_.recorder().record(sim_.now(), request->txn_id,
-                               telemetry::TxnEventKind::kRequestServed, id_,
-                               msg.src, grant.watts);
-    net_.send(id_, msg.src, grant);
-    return;
-  }
-  PEN_LOG_WARN("hierarchical server: unexpected payload from %d", msg.src);
-}
-
-void HierarchicalServerActor::kill() {
-  if (!alive_) return;
-  alive_ = false;
-  service_.halt();
-  net_.fail_node(id_);
+  maybe_send_assignments();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1103,131 +1048,6 @@ CentralServerActor::CentralServerActor(
     sim::Simulator& sim, net::Network& net, NodeId id,
     const central::ServerConfig& config,
     const net::SerialServerConfig& service, ClusterMetrics& metrics)
-    : sim_(sim),
-      net_(net),
-      id_(id),
-      logic_(config),
-      service_(sim, service,
-               [this](const net::Message& m) { process(m); }),
-      metrics_(metrics) {
-  net_.register_endpoint(
-      id_, [this](const net::Message& m) { service_.inbox(m); });
-  // Messages lost in the bounded inbox strand their watts (donations) —
-  // but only on the transaction's first sighting; see
-  // HierarchicalServerActor for the duplicate-copy reasoning.
-  service_.set_drop_handler([this](const net::Message& m) {
-    if (const auto* donation = m.as<central::CentralDonation>()) {
-      if (donation->watts <= 0.0) return;
-      if (txn_window_.insert(donation->txn_id)) {
-        metrics_.watts_stranded(donation->watts);
-        metrics_.recorder().record(sim_.now(), donation->txn_id,
-                                   telemetry::TxnEventKind::kStranded, id_,
-                                   m.src, donation->watts);
-      } else {
-        metrics_.record_duplicate_drop(donation->watts);
-        metrics_.recorder().record(
-            sim_.now(), donation->txn_id,
-            telemetry::TxnEventKind::kDuplicateDropped, id_, m.src,
-            donation->watts);
-      }
-    }
-  });
-}
-
-void CentralServerActor::enable_membership(
-    const core::MembershipConfig& config, int n_clients) {
-  detector_.emplace(config);
-  for (int client = 0; client < n_clients; ++client)
-    detector_->track(client, sim_.now());
-  detector_task_.emplace(sim_, config.heartbeat_period,
-                         config.heartbeat_period,
-                         [this](common::Ticks now) { membership_tick(now); });
-}
-
-void CentralServerActor::membership_tick(common::Ticks now) {
-  if (!alive_ || !detector_) return;
-  transitions_.clear();
-  detector_->tick(now, transitions_);
-  for (const core::MembershipTransition& t : transitions_) {
-    if (t.to == core::PeerLiveness::kSuspected) {
-      metrics_.record_suspicion();
-      metrics_.recorder().record(now, membership_txn(t.peer, t.incarnation),
-                                 telemetry::TxnEventKind::kPeerSuspected,
-                                 id_, t.peer, 0.0);
-    } else if (t.to == core::PeerLiveness::kDead) {
-      metrics_.record_declared_dead();
-      metrics_.recorder().record(
-          now, membership_txn(t.peer, t.incarnation),
-          telemetry::TxnEventKind::kPeerDeclaredDead, id_, t.peer, 0.0);
-      // SLURM-analogue reclamation: the dead client's seized share (and
-      // anything stranded toward it) returns to the server budget.
-      double reclaimed = metrics_.reclaim_from(t.peer, t.incarnation);
-      if (reclaimed > 0.0) {
-        logic_.reclaim(reclaimed);
-        metrics_.recorder().record(
-            now, membership_txn(t.peer, t.incarnation),
-            telemetry::TxnEventKind::kReclaimed, id_, t.peer, reclaimed);
-      }
-    }
-  }
-}
-
-void CentralServerActor::process(const net::Message& msg) {
-  if (detector_ && msg.src >= 0) {
-    if (const auto* beat = msg.as<core::Heartbeat>()) {
-      note_server_signal(metrics_, sim_.now(), *detector_, id_, beat->node,
-                         detector_->observe_heartbeat(
-                             beat->node, beat->incarnation, sim_.now()));
-      return;
-    }
-    note_server_signal(metrics_, sim_.now(), *detector_, id_, msg.src,
-                       detector_->observe_traffic(msg.src, sim_.now()));
-  } else if (msg.as<core::Heartbeat>() != nullptr) {
-    return;
-  }
-  if (const auto* donation = msg.as<central::CentralDonation>()) {
-    if (!txn_window_.insert(donation->txn_id)) {
-      metrics_.record_duplicate_drop(donation->watts);
-      metrics_.recorder().record(
-          sim_.now(), donation->txn_id,
-          telemetry::TxnEventKind::kDuplicateDropped, id_, msg.src,
-          donation->watts);
-      return;
-    }
-    metrics_.donation_arrived(donation->watts);
-    metrics_.recorder().record(sim_.now(), donation->txn_id,
-                               telemetry::TxnEventKind::kDonationReceived,
-                               id_, msg.src, donation->watts);
-    logic_.handle_donation(*donation);
-    return;
-  }
-  if (const auto* request = msg.as<central::CentralRequest>()) {
-    if (!txn_window_.insert(request->txn_id)) {
-      metrics_.record_duplicate_drop(0.0);
-      metrics_.recorder().record(
-          sim_.now(), request->txn_id,
-          telemetry::TxnEventKind::kDuplicateDropped, id_, msg.src, 0.0);
-      return;
-    }
-    central::CentralGrant grant = logic_.handle_request(*request);
-    if (grant.watts > 0.0) metrics_.grant_departed(grant.watts);
-    metrics_.recorder().record(sim_.now(), request->txn_id,
-                               telemetry::TxnEventKind::kRequestServed, id_,
-                               msg.src, grant.watts);
-    net_.send(id_, msg.src, grant);
-    return;
-  }
-  PEN_LOG_WARN("central server: unexpected payload from %d", msg.src);
-}
-
-void CentralServerActor::kill() {
-  if (!alive_) return;
-  alive_ = false;
-  // Order matters: halting the service strands queued donations through
-  // the drop handler; failing the node makes the network strand
-  // everything already in flight toward it on arrival.
-  service_.halt();
-  net_.fail_node(id_);
-}
+    : ServerActor(sim, net, id, service, metrics), logic_(config) {}
 
 }  // namespace penelope::cluster

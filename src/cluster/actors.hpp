@@ -25,6 +25,7 @@
 #include "hierarchy/podd_server.hpp"
 #include "common/rng.hpp"
 #include "core/decider.hpp"
+#include "core/ledger.hpp"
 #include "core/membership.hpp"
 #include "core/pool.hpp"
 #include "core/txn_window.hpp"
@@ -38,15 +39,6 @@
 namespace penelope::cluster {
 
 using net::NodeId;
-
-/// Bound a txn -> sent-time map: drop entries older than `horizon`, then,
-/// if still above `cap`, evict oldest entries until the cap holds. The
-/// horizon prune alone can delete nothing when a loss burst makes every
-/// entry recent — the hard cap is what actually bounds memory. Exposed
-/// for tests.
-void bound_stale_map(
-    std::unordered_map<std::uint64_t, common::Ticks>& stale,
-    common::Ticks horizon, std::size_t cap);
 
 struct NodeConfig {
   NodeId id = 0;
@@ -219,12 +211,12 @@ class PenelopeNodeActor {
 
   /// Timed-out requests whose grants may still arrive (bounded; exposed
   /// so tests can assert the bound under sustained loss).
-  std::size_t stale_entries() const { return stale_sent_times_.size(); }
+  std::size_t stale_entries() const { return ledger_.stale_entries(); }
 
   /// Transaction id of the currently outstanding request, 0 if none
   /// (used by the liveness watchdog's diagnostic dump).
   std::uint64_t outstanding_txn() const {
-    return outstanding_ ? outstanding_->txn : 0;
+    return ledger_.outstanding() ? ledger_.outstanding()->txn : 0;
   }
 
   bool peer_blacklisted(NodeId peer) const;
@@ -239,18 +231,9 @@ class PenelopeNodeActor {
   void on_grant(const net::Message& msg);
   void finish_step(common::Ticks now);
   void resolve_outstanding_as_timeout();
-  void prune_stale();
   void membership_tick(common::Ticks now);
-  void note_membership_signal(core::MembershipSignal signal, NodeId peer);
   /// Detector-informed peer avoidance for the kNeedsPeer draw.
   bool peer_unusable(NodeId peer) const;
-
-  struct Outstanding {
-    std::uint64_t txn = 0;
-    common::Ticks sent_at = 0;
-    NodeId peer = net::kNoNode;
-    sim::EventId timeout_event = sim::kInvalidEventId;
-  };
 
   void note_peer_timeout(NodeId peer);
   void note_peer_answered(NodeId peer);
@@ -264,11 +247,10 @@ class PenelopeNodeActor {
   std::function<NodeId()> pick_peer_;
   ClusterMetrics& metrics_;
   sim::PeriodicTask tick_task_;
-  std::optional<Outstanding> outstanding_;
-  /// Requests that timed out locally but whose grants may still arrive
-  /// (the peer debited its pool; the watts must be banked, and the true
-  /// waiting time still belongs in the turnaround distribution).
-  std::unordered_map<std::uint64_t, common::Ticks> stale_sent_times_;
+  /// Outstanding request, timed-out requests whose grants may still
+  /// arrive, and the at-most-once window over grants and pushes.
+  core::RequestLedger ledger_;
+  sim::EventId timeout_event_ = sim::kInvalidEventId;
   /// sticky_peers ablation: the last peer whose grant paid out.
   NodeId sticky_peer_ = net::kNoNode;
   NodeId last_queried_peer_ = net::kNoNode;
@@ -280,11 +262,7 @@ class PenelopeNodeActor {
     common::Ticks blacklisted_until = 0;
   };
   std::unordered_map<NodeId, PeerHealth> peer_health_;
-  /// At-most-once receive windows: one for grants + pushes arriving at
-  /// the decider side, one for requests arriving at the pool service. A
-  /// redelivered copy is counted (dropped_duplicate) and never applied,
-  /// deposited, or served twice.
-  core::TxnWindow grant_window_;
+  /// At-most-once window over requests arriving at the pool service.
   core::TxnWindow request_window_;
   std::uint64_t push_seq_ = 0;  ///< stream-1 sequence for PowerPush txns
   bool management_alive_ = true;
@@ -330,11 +308,11 @@ class CentralClientActor {
   /// Dynamic budget reconfiguration (see PenelopeNodeActor).
   double apply_budget_delta(double delta_watts);
 
-  std::size_t stale_entries() const { return stale_sent_times_.size(); }
+  std::size_t stale_entries() const { return ledger_.stale_entries(); }
 
   /// Outstanding request's txn id, 0 if none (watchdog diagnostics).
   std::uint64_t outstanding_txn() const {
-    return outstanding_ ? outstanding_->txn : 0;
+    return ledger_.outstanding() ? ledger_.outstanding()->txn : 0;
   }
 
  private:
@@ -343,13 +321,6 @@ class CentralClientActor {
   void on_grant(const net::Message& msg);
   void resolve_outstanding_as_timeout();
   void donate(double watts, common::Ticks now);
-  void prune_stale();
-
-  struct Outstanding {
-    std::uint64_t txn = 0;
-    common::Ticks sent_at = 0;
-    sim::EventId timeout_event = sim::kInvalidEventId;
-  };
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -358,15 +329,11 @@ class CentralClientActor {
   NodeId server_id_;
   ClusterMetrics& metrics_;
   sim::PeriodicTask tick_task_;
-  std::optional<Outstanding> outstanding_;
-  /// Send times of requests that timed out; late grants (the norm when a
-  /// saturated server answers slower than the decider period) still
-  /// produce honest turnaround samples from these.
-  std::unordered_map<std::uint64_t, common::Ticks> stale_sent_times_;
-  /// At-most-once window over server grants; duplicates are counted,
-  /// never applied. Unknown-txn grants (in neither outstanding_ nor
-  /// stale_sent_times_) are stranded-accounted and logged.
-  core::TxnWindow grant_window_;
+  /// Late grants (the norm when a saturated server answers slower than
+  /// the decider period) still produce honest turnaround samples from
+  /// the ledger's stale map. Unknown-txn grants are stranded.
+  core::RequestLedger ledger_;
+  sim::EventId timeout_event_ = sim::kInvalidEventId;
   std::uint64_t donation_seq_ = 0;  ///< stream-1 sequence for donations
   /// Hierarchical (PoDD) mode: true until the server's CapAssignment
   /// arrives; while true, ticks send ProfileReports and do not shift.
@@ -376,67 +343,15 @@ class CentralClientActor {
   bool crashed_ = false;
 };
 
-/// PoDD-style hierarchical server (§2.3.3): collects profile reports,
-/// computes per-group initial-cap assignments, broadcasts them, then
-/// behaves as a central power server for steady-state refinement. Uses
-/// the same serial-service queue model as the central server.
-class HierarchicalServerActor {
- public:
-  HierarchicalServerActor(sim::Simulator& sim, net::Network& net,
-                          NodeId id,
-                          const hierarchy::PoddConfig& config,
-                          const net::SerialServerConfig& service,
-                          ClusterMetrics& metrics);
-
-  void kill();
-  bool alive() const { return alive_; }
-
-  /// SLURM-analogue membership: run a detector over the clients; a dead
-  /// client's reclaimable share returns to the embedded central cache.
-  void enable_membership(const core::MembershipConfig& config,
-                         int n_clients);
-
-  NodeId id() const { return id_; }
-  const hierarchy::PoddServerLogic& logic() const { return logic_; }
-  double cache_watts() const { return logic_.central().cache_watts(); }
-  const net::SerialServerStats& service_stats() const {
-    return service_.stats();
-  }
-
- private:
-  void process(const net::Message& msg);
-  void membership_tick(common::Ticks now);
-  /// Broadcast the learned CapAssignments exactly once, as soon as the
-  /// profiling window closes — whether the closing event was the final
-  /// ProfileReport or the expiry of a dead node's stale reports.
-  void maybe_send_assignments();
-
-  sim::Simulator& sim_;
-  net::Network& net_;
-  NodeId id_;
-  hierarchy::PoddServerLogic logic_;
-  net::SerialServer service_;
-  ClusterMetrics& metrics_;
-  /// At-most-once window over donations and requests; shared with the
-  /// service's overflow drop handler so a queued copy of a stranded
-  /// donation is recognised as a duplicate (and vice versa).
-  core::TxnWindow txn_window_;
-  std::optional<core::FailureDetector> detector_;
-  std::optional<sim::PeriodicTask> detector_task_;
-  std::vector<core::MembershipTransition> transitions_;
-  bool alive_ = true;
-  bool assignments_sent_ = false;
-};
-
-/// The central power server, parked behind the serial-service queue that
+/// What both server actors share: the serial-service queue that
 /// produces the paper's 80–100 µs per-request behaviour and its
-/// saturation knee.
-class CentralServerActor {
+/// saturation knee, the at-most-once window over donations and requests
+/// (shared with the queue's overflow drop handler, so a queued copy of a
+/// stranded donation is recognised as a duplicate and vice versa), and
+/// SLURM-analogue membership over the clients.
+class ServerActor {
  public:
-  CentralServerActor(sim::Simulator& sim, net::Network& net, NodeId id,
-                     const central::ServerConfig& config,
-                     const net::SerialServerConfig& service,
-                     ClusterMetrics& metrics);
+  virtual ~ServerActor() = default;
 
   /// Fault injection for Figure 3: the node dies; queued and future
   /// messages are lost (donation watts in them are stranded).
@@ -453,28 +368,82 @@ class CentralServerActor {
                          int n_clients);
 
   NodeId id() const { return id_; }
-  const central::ServerLogic& logic() const { return logic_; }
-  double cache_watts() const { return logic_.cache_watts(); }
   const net::SerialServerStats& service_stats() const {
     return service_.stats();
   }
+
+ protected:
+  ServerActor(sim::Simulator& sim, net::Network& net, NodeId id,
+              const net::SerialServerConfig& service,
+              ClusterMetrics& metrics);
+
+  /// The budget logic donations and requests are served against.
+  virtual central::ServerLogic& central_logic() = 0;
+  /// Messages that are neither heartbeats, donations nor requests;
+  /// false if not understood.
+  virtual bool handle_other(const net::Message&) { return false; }
+  /// `peer` rejoined at a new incarnation or was declared dead.
+  virtual void on_peer_epoch_end(std::int32_t) {}
+
+  sim::Simulator& sim_;
+  net::Network& net_;
+  NodeId id_;
+  ClusterMetrics& metrics_;
 
  private:
   void process(const net::Message& msg);
   void membership_tick(common::Ticks now);
 
-  sim::Simulator& sim_;
-  net::Network& net_;
-  NodeId id_;
-  central::ServerLogic logic_;
   net::SerialServer service_;
-  ClusterMetrics& metrics_;
-  /// See HierarchicalServerActor::txn_window_.
   core::TxnWindow txn_window_;
   std::optional<core::FailureDetector> detector_;
   std::optional<sim::PeriodicTask> detector_task_;
   std::vector<core::MembershipTransition> transitions_;
   bool alive_ = true;
+};
+
+/// PoDD-style hierarchical server (§2.3.3): collects profile reports,
+/// computes per-group initial-cap assignments, broadcasts them, then
+/// behaves as a central power server for steady-state refinement.
+class HierarchicalServerActor : public ServerActor {
+ public:
+  HierarchicalServerActor(sim::Simulator& sim, net::Network& net,
+                          NodeId id,
+                          const hierarchy::PoddConfig& config,
+                          const net::SerialServerConfig& service,
+                          ClusterMetrics& metrics);
+
+  const hierarchy::PoddServerLogic& logic() const { return logic_; }
+  double cache_watts() const { return logic_.central().cache_watts(); }
+
+ private:
+  central::ServerLogic& central_logic() override { return logic_.central(); }
+  bool handle_other(const net::Message& msg) override;
+  void on_peer_epoch_end(std::int32_t peer) override;
+  /// Broadcast the learned CapAssignments exactly once, as soon as the
+  /// profiling window closes — whether the closing event was the final
+  /// ProfileReport or the expiry of a dead node's stale reports.
+  void maybe_send_assignments();
+
+  hierarchy::PoddServerLogic logic_;
+  bool assignments_sent_ = false;
+};
+
+/// The central power server (§2.3.2).
+class CentralServerActor : public ServerActor {
+ public:
+  CentralServerActor(sim::Simulator& sim, net::Network& net, NodeId id,
+                     const central::ServerConfig& config,
+                     const net::SerialServerConfig& service,
+                     ClusterMetrics& metrics);
+
+  const central::ServerLogic& logic() const { return logic_; }
+  double cache_watts() const { return logic_.cache_watts(); }
+
+ private:
+  central::ServerLogic& central_logic() override { return logic_; }
+
+  central::ServerLogic logic_;
 };
 
 }  // namespace penelope::cluster

@@ -701,24 +701,26 @@ void Cluster::arm_churn() {
   }
 }
 
+template <typename F>
+auto Cluster::with_client(int node, F&& f) const {
+  auto idx = static_cast<std::size_t>(node);
+  if (config_.manager == ManagerKind::kPenelope)
+    return f(penelope_nodes_.at(idx).get());
+  return f(config_.manager == ManagerKind::kFair
+               ? nullptr
+               : central_clients_.at(idx).get());
+}
+
 void Cluster::crash_node(int node) {
   PEN_CHECK(node >= 0 && node < config_.n_nodes);
   if (arena_) {
     arena_->crash_node(node, now_ticks());
     return;
   }
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kPenelope:
-      penelope_nodes_[idx]->crash();
-      break;
-    case ManagerKind::kCentral:
-    case ManagerKind::kHierarchical:
-      central_clients_[idx]->crash();
-      break;
-    case ManagerKind::kFair:
-      break;  // no volatile management state to lose
-  }
+  // Fair nodes have no volatile management state to lose.
+  with_client(node, [](auto* actor) {
+    if (actor) actor->crash();
+  });
 }
 
 void Cluster::recover_node(int node) {
@@ -727,48 +729,22 @@ void Cluster::recover_node(int node) {
     arena_->recover_node(node, now_ticks());
     return;
   }
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kPenelope:
-      penelope_nodes_[idx]->restart();
-      break;
-    case ManagerKind::kCentral:
-    case ManagerKind::kHierarchical:
-      central_clients_[idx]->restart();
-      break;
-    case ManagerKind::kFair:
-      break;
-  }
+  with_client(node, [](auto* actor) {
+    if (actor) actor->restart();
+  });
 }
 
 bool Cluster::node_crashed(int node) const {
   if (arena_) return arena_->node_crashed(node);
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kPenelope:
-      return penelope_nodes_.at(idx)->crashed();
-    case ManagerKind::kCentral:
-    case ManagerKind::kHierarchical:
-      return central_clients_.at(idx)->crashed();
-    case ManagerKind::kFair:
-      return false;
-  }
-  return false;
+  return with_client(node,
+                     [](auto* actor) { return actor && actor->crashed(); });
 }
 
 std::uint32_t Cluster::node_incarnation(int node) const {
   if (arena_) return arena_->node_incarnation(node);
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kPenelope:
-      return penelope_nodes_.at(idx)->incarnation();
-    case ManagerKind::kCentral:
-    case ManagerKind::kHierarchical:
-      return central_clients_.at(idx)->incarnation();
-    case ManagerKind::kFair:
-      return 1;
-  }
-  return 1;
+  return with_client(node, [](auto* actor) -> std::uint32_t {
+    return actor ? actor->incarnation() : 1;
+  });
 }
 
 void Cluster::on_node_complete(net::NodeId node, common::Ticks at) {
@@ -819,18 +795,10 @@ void Cluster::run_for(double seconds) {
 
 std::uint64_t Cluster::node_outstanding_txn(int node) const {
   PEN_CHECK(node >= 0 && node < config_.n_nodes);
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kPenelope:
-      if (arena_) return 0;  // arena nodes fold timeouts inline
-      return penelope_nodes_.at(idx)->outstanding_txn();
-    case ManagerKind::kCentral:
-    case ManagerKind::kHierarchical:
-      return central_clients_.at(idx)->outstanding_txn();
-    case ManagerKind::kFair:
-      return 0;
-  }
-  return 0;
+  if (arena_) return 0;  // arena nodes fold timeouts inline
+  return with_client(node, [](auto* actor) -> std::uint64_t {
+    return actor ? actor->outstanding_txn() : 0;
+  });
 }
 
 void Cluster::watchdog_check(common::Ticks now) {
@@ -876,14 +844,28 @@ void Cluster::watchdog_dump(common::Ticks now) {
       common::to_seconds(now),
       static_cast<unsigned long long>(watchdog_last_steps_),
       pending_events(), completed_nodes_, config_.n_nodes);
-  for (int i = 0; i < config_.n_nodes; ++i) {
-    const bool done = completions_[static_cast<std::size_t>(i)].has_value();
-    PEN_LOG_WARN(
-        "  node %d: %s%s inc=%u outstanding_txn=%llu cap=%.1fW pool=%.1fW",
-        i, done ? "done" : "running",
-        node_crashed(i) ? " CRASHED" : "", node_incarnation(i),
-        static_cast<unsigned long long>(node_outstanding_txn(i)),
-        node_cap(i), node_pool_watts(i));
+  // At most kDumpNodes node lines, likeliest culprits first: crashed
+  // nodes, then incomplete ones, then finished ones. One pass per rank
+  // keeps the dump allocation-free at 2^20 nodes.
+  constexpr int kDumpNodes = 16;
+  int shown = 0;
+  for (int rank = 0; rank < 3 && shown < kDumpNodes; ++rank) {
+    for (int i = 0; i < config_.n_nodes && shown < kDumpNodes; ++i) {
+      const bool crashed = node_crashed(i);
+      const bool done = completions_[static_cast<std::size_t>(i)].has_value();
+      if ((crashed ? 0 : done ? 2 : 1) != rank) continue;
+      ++shown;
+      PEN_LOG_WARN(
+          "  node %d: %s%s inc=%u outstanding_txn=%llu cap=%.1fW "
+          "pool=%.1fW",
+          i, done ? "done" : "running", crashed ? " CRASHED" : "",
+          node_incarnation(i),
+          static_cast<unsigned long long>(node_outstanding_txn(i)),
+          node_cap(i), node_pool_watts(i));
+    }
+  }
+  if (shown < config_.n_nodes) {
+    PEN_LOG_WARN("  ... %d more nodes", config_.n_nodes - shown);
   }
   if (!health_.probes().empty()) {
     const telemetry::HealthProbe& probe = health_.probes().back();
@@ -1004,14 +986,9 @@ ConservationAudit Cluster::audit() const {
 
 double Cluster::node_cap(int node) const {
   if (arena_) return arena_->node_cap(node);
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kFair: return fair_nodes_.at(idx)->cap();
-    case ManagerKind::kPenelope: return penelope_nodes_.at(idx)->cap();
-    case ManagerKind::kHierarchical:
-    case ManagerKind::kCentral: return central_clients_.at(idx)->cap();
-  }
-  return 0.0;
+  if (config_.manager == ManagerKind::kFair)
+    return fair_nodes_.at(static_cast<std::size_t>(node))->cap();
+  return with_client(node, [](auto* actor) { return actor->cap(); });
 }
 
 double Cluster::node_pool_watts(int node) const {
@@ -1028,45 +1005,28 @@ double Cluster::server_cache_watts() const {
   return 0.0;
 }
 
-bool Cluster::node_app_done(int node) const {
-  if (arena_) return arena_->node_done(node);
+NodeBody& Cluster::node_body(int node) const {
   auto idx = static_cast<std::size_t>(node);
   switch (config_.manager) {
-    case ManagerKind::kFair:
-      return fair_nodes_.at(idx)->body().app_done();
-    case ManagerKind::kPenelope:
-      return penelope_nodes_.at(idx)->body().app_done();
+    case ManagerKind::kFair: return fair_nodes_.at(idx)->body();
+    case ManagerKind::kPenelope: return penelope_nodes_.at(idx)->body();
     case ManagerKind::kHierarchical:
-    case ManagerKind::kCentral:
-      return central_clients_.at(idx)->body().app_done();
+    case ManagerKind::kCentral: break;
   }
-  return false;
+  return central_clients_.at(idx)->body();
+}
+
+bool Cluster::node_app_done(int node) const {
+  if (arena_) return arena_->node_done(node);
+  return node_body(node).app_done();
 }
 
 double Cluster::node_power(int node) const {
-  auto idx = static_cast<std::size_t>(node);
   // instantaneous_power advances the analytic model to now(), which is
   // a const-view operation conceptually but mutates cached state; the
   // actors expose non-const bodies for exactly this reason.
   if (arena_) return arena_->node_power(node, now_ticks());
-  auto* self = const_cast<Cluster*>(this);
-  switch (config_.manager) {
-    case ManagerKind::kFair:
-      return self->fair_nodes_.at(idx)->body().rapl().instantaneous_power(
-          now_ticks());
-    case ManagerKind::kPenelope:
-      return self->penelope_nodes_.at(idx)
-          ->body()
-          .rapl()
-          .instantaneous_power(now_ticks());
-    case ManagerKind::kHierarchical:
-    case ManagerKind::kCentral:
-      return self->central_clients_.at(idx)
-          ->body()
-          .rapl()
-          .instantaneous_power(now_ticks());
-  }
-  return 0.0;
+  return node_body(node).rapl().instantaneous_power(now_ticks());
 }
 
 double Cluster::total_energy_joules() const {
@@ -1086,32 +1046,12 @@ double Cluster::total_energy_joules() const {
 
 double Cluster::node_demand(int node) const {
   if (arena_) return arena_->node_demand(node);
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kFair:
-      return fair_nodes_.at(idx)->body().rapl().demand();
-    case ManagerKind::kPenelope:
-      return penelope_nodes_.at(idx)->body().rapl().demand();
-    case ManagerKind::kHierarchical:
-    case ManagerKind::kCentral:
-      return central_clients_.at(idx)->body().rapl().demand();
-  }
-  return 0.0;
+  return node_body(node).rapl().demand();
 }
 
 double Cluster::node_fraction_complete(int node) const {
   if (arena_) return arena_->node_fraction_complete(node, now_ticks());
-  auto idx = static_cast<std::size_t>(node);
-  switch (config_.manager) {
-    case ManagerKind::kFair:
-      return fair_nodes_.at(idx)->body().fraction_complete();
-    case ManagerKind::kPenelope:
-      return penelope_nodes_.at(idx)->body().fraction_complete();
-    case ManagerKind::kHierarchical:
-    case ManagerKind::kCentral:
-      return central_clients_.at(idx)->body().fraction_complete();
-  }
-  return 0.0;
+  return node_body(node).fraction_complete();
 }
 
 std::vector<workload::WorkloadProfile> make_pair_workloads(

@@ -471,6 +471,12 @@ class Cluster {
   /// audit task at audit_interval cadence.
   void watchdog_check(common::Ticks now);
   void watchdog_dump(common::Ticks now);
+  /// The classic actor's power model and workload for `node`.
+  NodeBody& node_body(int node) const;
+  /// `f(actor)` on `node`'s Penelope node or central client; Fair nodes
+  /// have neither and get a null pointer.
+  template <typename F>
+  auto with_client(int node, F&& f) const;
   std::uint64_t watchdog_last_steps_ = 0;
   common::Ticks watchdog_last_progress_ = 0;
   bool wedged_ = false;

@@ -1,14 +1,11 @@
 #include "rt/overhead.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "common/check.hpp"
-#include "core/decider.hpp"
-#include "core/pool.hpp"
-#include "power/simulated_rapl.hpp"
+#include "rt/node_core.hpp"
 #include "workload/npb.hpp"
 
 namespace penelope::rt {
@@ -41,47 +38,29 @@ std::uint64_t calibrate_units_per_second() {
 class SingleNodePenelope {
  public:
   explicit SingleNodePenelope(const OverheadConfig& config)
-      : pool_(core::PoolConfig{}),
-        decider_(
-            core::DeciderConfig{
-                120.0, 5.0,
-                power::SafeRange{.min_watts = 40.0, .max_watts = 250.0}},
-            pool_),
-        rapl_([&] {
-          power::SimulatedRaplConfig rc;
-          rc.safe_range = {.min_watts = 40.0, .max_watts = 250.0};
-          rc.initial_cap_watts = 120.0;
-          rc.initial_demand_watts = 150.0;
-          rc.seed = config.seed;
-          return rc;
-        }()),
-        period_(config.decider_period) {
+      : core_(
+            [&] {
+              NodeParams params;
+              params.period = config.decider_period;
+              params.seed = config.seed;
+              return params;
+            }(),
+            0, {DemandPhase{150.0, common::kTicksPerSecond}}, recorder_) {
     decider_thread_ = std::jthread([this](std::stop_token st) {
-      auto next = Clock::now() + std::chrono::microseconds(period_);
-      common::Ticks t = 0;
-      while (!st.stop_requested()) {
-        std::this_thread::sleep_until(next);
-        if (st.stop_requested()) break;
-        t += period_;
-        double p = rapl_.read_average_power(t);
-        core::StepOutcome outcome = decider_.begin_step(p);
-        rapl_.set_cap(decider_.cap());
-        if (outcome.kind == core::StepKind::kNeedsPeer) {
-          // One-node system: there is no peer; resolve with nothing.
-          decider_.complete_peer_grant(0.0);
-        }
-        decider_.finish_step();
-        rapl_.set_cap(decider_.cap());
-        next += std::chrono::microseconds(period_);
-      }
+      // One-node system: there is no peer, so a kNeedsPeer step
+      // resolves with nothing.
+      core_.run(
+          st, [](common::Ticks) { return true; },
+          [](const core::PowerRequest&) { return -1; });
     });
     // The pool-service thread: idles on a poll interval since no peer
     // traffic exists, but it wakes and takes the pool lock exactly as a
     // served node's would.
-    pool_thread_ = std::jthread([this](std::stop_token st) {
+    pool_thread_ = std::jthread([this, period = config.decider_period](
+                                    std::stop_token st) {
       while (!st.stop_requested()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(period_));
-        (void)pool_.available();
+        std::this_thread::sleep_for(std::chrono::microseconds(period));
+        (void)core_.pool.available();
       }
     });
   }
@@ -92,10 +71,8 @@ class SingleNodePenelope {
   }
 
  private:
-  core::PowerPool pool_;
-  core::Decider decider_;
-  power::SimulatedRapl rapl_;
-  common::Ticks period_;
+  telemetry::FlightRecorder recorder_;  ///< never enabled
+  NodeCore core_;
   std::jthread decider_thread_;
   std::jthread pool_thread_;
 };

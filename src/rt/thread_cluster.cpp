@@ -6,30 +6,8 @@
 
 #include "common/check.hpp"
 #include "common/log.hpp"
-#include "power/simulated_rapl.hpp"
 
 namespace penelope::rt {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-Clock::time_point process_epoch() {
-  static const Clock::time_point epoch = Clock::now();
-  return epoch;
-}
-
-Clock::time_point to_time_point(common::Ticks ticks) {
-  return process_epoch() + std::chrono::microseconds(ticks);
-}
-
-}  // namespace
-
-common::Ticks wall_ticks() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             Clock::now() - process_epoch())
-      .count();
-}
 
 /// A request in flight between threads: the pool replies directly into
 /// the requester's mailbox.
@@ -40,44 +18,15 @@ struct PoolRequestMsg {
 
 struct ThreadCluster::Node {
   Node(const ThreadClusterConfig& config, int node_id,
-       std::vector<DemandPhase> demand_script)
-      : id(node_id),
-        rapl([&] {
-          power::SimulatedRaplConfig rc;
-          rc.safe_range = config.safe_range;
-          rc.tau_seconds = config.rapl_tau_seconds;
-          rc.idle_watts = config.idle_watts;
-          rc.initial_cap_watts = config.initial_cap_watts;
-          rc.initial_demand_watts = demand_script.empty()
-                                        ? config.idle_watts
-                                        : demand_script.front().demand_watts;
-          rc.seed = config.seed ^ (0x100001b3ULL * (node_id + 1));
-          return rc;
-        }()),
-        pool(config.pool),
-        decider([&] {
-          core::DeciderConfig dc;
-          dc.initial_cap_watts = config.initial_cap_watts;
-          dc.epsilon_watts = config.epsilon_watts;
-          dc.safe_range = config.safe_range;
-          dc.txn_node = node_id;
-          return dc;
-        }(), pool),
-        script(std::move(demand_script)),
+       std::vector<DemandPhase> demand_script,
+       telemetry::FlightRecorder& recorder)
+      : core(config, node_id, std::move(demand_script), recorder),
         rng(config.seed ^ (0xc6a4a793ULL * (node_id + 1))) {}
 
-  int id;
-  power::SimulatedRapl rapl;
-  core::PowerPool pool;
-  core::Decider decider;
+  /// Decider side (its thread owns core.ledger) and pool side (its
+  /// thread owns core.request_window); core.grants is the reply box.
+  NodeCore core;
   Mailbox<PoolRequestMsg> inbox;
-  Mailbox<core::PowerGrant> reply_box;
-  /// At-most-once receive windows. Each is touched by exactly one
-  /// thread: request_window by the pool thread, grant_window by the
-  /// decider thread (and by run_for's drain, after the joins).
-  core::TxnWindow request_window;
-  core::TxnWindow grant_window;
-  std::vector<DemandPhase> script;
   common::Rng rng;
   /// Crash–restart churn. `down` is written by the decider thread and
   /// read by the pool thread (drop requests while down, like a dead
@@ -96,14 +45,9 @@ struct ThreadCluster::Node {
   /// This node's slice of config.crash_events, sorted by time:
   /// (crash_at, restart_at) wall offsets. Decider-thread private.
   std::vector<std::pair<common::Ticks, common::Ticks>> crash_plan;
+  std::size_t crash_idx = 0;
   telemetry::Counter crashes;
   telemetry::Counter restarts;
-  /// Registry-backed counters (updated lock-free from both of this
-  /// node's threads, aggregated by ThreadCluster::metrics_snapshot).
-  telemetry::Counter grants_received;
-  telemetry::Counter timeouts;
-  telemetry::Counter duplicates_dropped;
-  telemetry::Counter requests_sent;
   std::jthread pool_thread;
   std::jthread decider_thread;
 };
@@ -120,19 +64,11 @@ ThreadCluster::ThreadCluster(
     recorder_.enable(config_.flight_recorder_capacity);
   for (int i = 0; i < config_.n_nodes; ++i) {
     nodes_.push_back(std::make_unique<Node>(
-        config_, i, std::move(demand_scripts[static_cast<std::size_t>(i)])));
+        config_, i, std::move(demand_scripts[static_cast<std::size_t>(i)]),
+        recorder_));
     Node& node = *nodes_.back();
+    node.core.register_counters(registry_, "rt");
     telemetry::Labels labels{{"node", std::to_string(i)}};
-    node.grants_received =
-        registry_.counter("rt_grants_applied_total", labels,
-                          "peer grants applied by the decider");
-    node.timeouts = registry_.counter(
-        "rt_timeouts_total", labels, "requests resolved by timeout");
-    node.duplicates_dropped =
-        registry_.counter("rt_duplicates_dropped_total", labels,
-                          "redeliveries rejected by a TxnWindow");
-    node.requests_sent = registry_.counter(
-        "rt_requests_sent_total", labels, "power requests sent to peers");
     node.crashes = registry_.counter("rt_crashes_total", labels,
                                      "scripted node crashes executed");
     node.restarts = registry_.counter(
@@ -151,7 +87,7 @@ ThreadCluster::ThreadCluster(
 ThreadCluster::~ThreadCluster() = default;
 
 void ThreadCluster::pool_loop(Node& node, std::stop_token stop) {
-  common::set_log_node(node.id);
+  common::set_log_node(node.core.id);
   while (!stop.stop_requested()) {
     std::optional<PoolRequestMsg> msg = node.inbox.pop();
     if (!msg) break;  // mailbox closed: shutdown
@@ -159,7 +95,7 @@ void ThreadCluster::pool_loop(Node& node, std::stop_token stop) {
                                            std::memory_order_acq_rel)) {
       // Restart: the pre-crash window is volatile state that died with
       // the process; the pool thread wipes it because it owns it.
-      node.request_window.reset();
+      node.core.request_window.reset();
     }
     if (node.down.load(std::memory_order_acquire)) {
       // Dead node: the request falls into the void and the requester
@@ -167,157 +103,50 @@ void ThreadCluster::pool_loop(Node& node, std::stop_token stop) {
       // the restart deserves a real answer.
       continue;
     }
-    if (!node.request_window.insert(msg->request.txn_id)) {
-      // Redelivered request: the first copy's grant already answered
-      // this transaction; serving again would debit the pool twice.
-      node.duplicates_dropped.inc();
-      recorder_.record(wall_ticks(), msg->request.txn_id,
-                       telemetry::TxnEventKind::kDuplicateDropped, node.id,
-                       -1, 0.0);
-      continue;
-    }
-    double granted = node.pool.serve(msg->request);
-    recorder_.record(wall_ticks(), msg->request.txn_id,
-                     telemetry::TxnEventKind::kRequestServed, node.id, -1,
-                     granted);
-    core::PowerGrant grant{granted, msg->request.txn_id};
-    if (!msg->reply->try_push(grant) && granted > 0.0) {
-      // Requester is gone (shutdown) or its box is full: return the
-      // watts rather than strand them in a lost message.
-      node.pool.deposit(granted);
-      recorder_.record(wall_ticks(), msg->request.txn_id,
-                       telemetry::TxnEventKind::kBanked, node.id, -1,
-                       granted);
-    }
+    node.core.serve(msg->request, [&msg](const core::PowerGrant& grant) {
+      return msg->reply->try_push(grant);
+    });
   }
 }
 
-void ThreadCluster::decider_loop(Node& node, std::stop_token stop) {
-  common::set_log_node(node.id);
-  const common::Ticks start = wall_ticks();
-  std::size_t phase_idx = 0;
-  common::Ticks phase_start = start;
-  if (!node.script.empty()) {
-    node.rapl.set_demand(node.script.front().demand_watts, start);
+bool ThreadCluster::crash_tick(Node& node, common::Ticks start,
+                               common::Ticks now) {
+  NodeCore& core = node.core;
+  if (node.crash_idx < node.crash_plan.size() &&
+      !node.down.load(std::memory_order_relaxed) &&
+      now - start >= node.crash_plan[node.crash_idx].first) {
+    // Crash: volatile state dies. The cap collapses to the safe floor;
+    // the pool (with any reply-box grants banked into it) and the cap
+    // share above the floor are orphaned until the restart self-reclaims
+    // them (or the run ends with the node still down).
+    node.down.store(true, std::memory_order_release);
+    core.drain_grants();
+    double residue = core.pool.drain() + core.decider.seize_for_restart();
+    core.rapl.set_cap(core.decider.cap());
+    node.orphaned.fetch_add(residue, std::memory_order_acq_rel);
+    node.crashes.inc();
+    recorder_.record(now, 0, telemetry::TxnEventKind::kStranded, core.id,
+                     -1, residue);
   }
-  node.rapl.set_cap(node.decider.cap());
-
-  common::Ticks next_tick = start + config_.period;
-  std::size_t crash_idx = 0;
-  while (!stop.stop_requested()) {
-    std::this_thread::sleep_until(to_time_point(next_tick));
-    if (stop.stop_requested()) break;
-    common::Ticks now = wall_ticks();
-
-    if (crash_idx < node.crash_plan.size() &&
-        !node.down.load(std::memory_order_relaxed) &&
-        now - start >= node.crash_plan[crash_idx].first) {
-      // Crash: volatile state dies. The cap collapses to the safe
-      // floor; the pool, the cap share above it, and any banked
-      // reply-box grants are orphaned until the restart self-reclaims
-      // them (or the run ends with the node still down).
-      node.down.store(true, std::memory_order_release);
-      double residue = node.pool.drain() + node.decider.seize_for_restart();
-      while (auto grant = node.reply_box.try_pop())
-        residue += grant->watts;
-      node.rapl.set_cap(node.decider.cap());
-      node.orphaned.fetch_add(residue, std::memory_order_acq_rel);
-      node.crashes.inc();
-      recorder_.record(now, 0, telemetry::TxnEventKind::kStranded, node.id,
-                       -1, residue);
-    }
-    if (node.down.load(std::memory_order_relaxed)) {
-      if (now < start + node.crash_plan[crash_idx].second) {
-        next_tick += config_.period;  // still down: idle at the floor
-        continue;
-      }
-      // Restart: bumped incarnation, both TxnWindows wiped (the pool
-      // thread wipes its own), late grants drained, orphaned watts
-      // self-reclaimed into the fresh pool.
-      node.incarnation.fetch_add(1, std::memory_order_acq_rel);
-      node.grant_window.reset();
-      node.reset_request_window.store(true, std::memory_order_release);
-      double late = 0.0;
-      while (auto grant = node.reply_box.try_pop()) late += grant->watts;
-      double leftover =
-          node.orphaned.exchange(0.0, std::memory_order_acq_rel) + late;
-      if (leftover > 0.0) node.pool.deposit(leftover);
-      node.down.store(false, std::memory_order_release);
-      node.restarts.inc();
-      recorder_.record(now, 0, telemetry::TxnEventKind::kReclaimed,
-                       node.id, node.id, leftover);
-      ++crash_idx;
-    }
-
-    // Walk the demand script forward; the final phase persists.
-    while (phase_idx + 1 < node.script.size() &&
-           now - phase_start >= node.script[phase_idx].duration) {
-      phase_start += node.script[phase_idx].duration;
-      ++phase_idx;
-      node.rapl.set_demand(node.script[phase_idx].demand_watts, now);
-    }
-
-    double avg_power = node.rapl.read_average_power(now);
-    core::StepOutcome outcome = node.decider.begin_step(avg_power);
-    node.rapl.set_cap(node.decider.cap());
-
-    if (outcome.kind == core::StepKind::kNeedsPeer) {
-      auto peer_idx = static_cast<int>(node.rng.next_below(
-          static_cast<std::uint32_t>(config_.n_nodes - 1)));
-      if (peer_idx >= node.id) ++peer_idx;
-      Node& peer = *nodes_[static_cast<std::size_t>(peer_idx)];
-
-      bool matched = false;
-      if (peer.inbox.try_push(
-              PoolRequestMsg{outcome.request, &node.reply_box})) {
-        node.requests_sent.inc();
-        recorder_.record(wall_ticks(), outcome.request.txn_id,
-                         telemetry::TxnEventKind::kRequestSent, node.id,
-                         peer_idx, outcome.request.alpha_watts);
-        const auto deadline =
-            Clock::now() +
-            std::chrono::microseconds(config_.request_timeout);
-        while (!matched) {
-          std::optional<core::PowerGrant> grant =
-              node.reply_box.pop_until(deadline);
-          if (!grant) break;  // deadline passed or mailbox closed
-          if (!node.grant_window.insert(grant->txn_id)) {
-            node.duplicates_dropped.inc();
-            recorder_.record(wall_ticks(), grant->txn_id,
-                             telemetry::TxnEventKind::kDuplicateDropped,
-                             node.id, -1, grant->watts);
-            continue;  // redelivered grant: already applied or banked
-          }
-          if (grant->txn_id == outcome.request.txn_id) {
-            node.decider.complete_peer_grant(grant->watts);
-            node.grants_received.inc();
-            recorder_.record(wall_ticks(), grant->txn_id,
-                             telemetry::TxnEventKind::kGrantReceived,
-                             node.id, peer_idx, grant->watts);
-            matched = true;
-          } else if (grant->watts > 0.0) {
-            // A stale grant from an earlier timed-out round: bank it.
-            node.pool.deposit(grant->watts);
-            recorder_.record(wall_ticks(), grant->txn_id,
-                             telemetry::TxnEventKind::kBanked, node.id, -1,
-                             grant->watts);
-          }
-        }
-      }
-      if (!matched) {
-        node.decider.complete_peer_grant(0.0);
-        node.timeouts.inc();
-        recorder_.record(wall_ticks(), outcome.request.txn_id,
-                         telemetry::TxnEventKind::kTimeout, node.id,
-                         peer_idx, 0.0);
-      }
-      node.rapl.set_cap(node.decider.cap());
-    }
-
-    node.decider.finish_step();
-    node.rapl.set_cap(node.decider.cap());
-    next_tick += config_.period;
+  if (!node.down.load(std::memory_order_relaxed)) return true;
+  if (now < start + node.crash_plan[node.crash_idx].second) {
+    return false;  // still down: idle at the floor
   }
+  // Restart: bumped incarnation, ledger and request window wiped (the
+  // pool thread wipes its own), late grants banked into the fresh pool,
+  // orphaned watts self-reclaimed.
+  node.incarnation.fetch_add(1, std::memory_order_acq_rel);
+  core.ledger.reset();
+  node.reset_request_window.store(true, std::memory_order_release);
+  core.drain_grants();
+  double leftover = node.orphaned.exchange(0.0, std::memory_order_acq_rel);
+  if (leftover > 0.0) core.pool.deposit(leftover);
+  node.down.store(false, std::memory_order_release);
+  node.restarts.inc();
+  recorder_.record(now, 0, telemetry::TxnEventKind::kReclaimed, core.id,
+                   core.id, leftover);
+  ++node.crash_idx;
+  return true;
 }
 
 void ThreadCluster::run_for(common::Ticks duration) {
@@ -326,8 +155,23 @@ void ThreadCluster::run_for(common::Ticks duration) {
     Node* n = node.get();
     node->pool_thread = std::jthread(
         [this, n](std::stop_token st) { pool_loop(*n, st); });
-    node->decider_thread = std::jthread(
-        [this, n](std::stop_token st) { decider_loop(*n, st); });
+    node->decider_thread = std::jthread([this, n](std::stop_token st) {
+      const common::Ticks start = wall_ticks();
+      n->core.run(
+          st,
+          [this, n, start](common::Ticks now) {
+            return crash_tick(*n, start, now);
+          },
+          [this, n](const core::PowerRequest& request) {
+            auto peer = static_cast<int>(n->rng.next_below(
+                static_cast<std::uint32_t>(config_.n_nodes - 1)));
+            if (peer >= n->core.id) ++peer;
+            return nodes_[static_cast<std::size_t>(peer)]->inbox.try_push(
+                       PoolRequestMsg{request, &n->core.grants})
+                       ? peer
+                       : -1;
+          });
+    });
   }
 
   std::this_thread::sleep_for(std::chrono::microseconds(duration));
@@ -340,7 +184,7 @@ void ThreadCluster::run_for(common::Ticks duration) {
   // anyway, but joining deciders before pools avoids deciders blocking on
   // replies from already-stopped pools longer than one timeout.
   for (auto& node : nodes_) {
-    node->reply_box.close();
+    node->core.grants.close();
   }
   for (auto& node : nodes_) {
     if (node->decider_thread.joinable()) node->decider_thread.join();
@@ -350,38 +194,16 @@ void ThreadCluster::run_for(common::Ticks duration) {
     if (node->pool_thread.joinable()) node->pool_thread.join();
   }
 
-  // Drain reply boxes: grants that raced shutdown carry real watts.
-  // The same window applies — a duplicate that raced shutdown must not
-  // deposit twice either.
-  for (auto& node : nodes_) {
-    while (auto grant = node->reply_box.try_pop()) {
-      if (!node->grant_window.insert(grant->txn_id)) {
-        node->duplicates_dropped.inc();
-        continue;
-      }
-      if (grant->watts > 0.0) {
-        node->pool.deposit(grant->watts);
-        recorder_.record(wall_ticks(), grant->txn_id,
-                         telemetry::TxnEventKind::kBanked, node->id, -1,
-                         grant->watts);
-      }
-    }
-  }
+  // Grants that raced shutdown carry real watts; the ledger still
+  // applies, so a duplicate that raced shutdown deposits nothing.
+  for (auto& node : nodes_) node->core.drain_grants();
   running_ = false;
 }
 
 std::vector<ThreadNodeReport> ThreadCluster::reports() const {
   std::vector<ThreadNodeReport> reports;
   for (const auto& node : nodes_) {
-    ThreadNodeReport report;
-    report.id = node->id;
-    report.final_cap = node->decider.cap();
-    report.final_pool = node->pool.available();
-    report.decider = node->decider.stats();
-    report.pool = node->pool.stats();
-    report.grants_received = node->grants_received.value();
-    report.timeouts = node->timeouts.value();
-    report.duplicates_dropped = node->duplicates_dropped.value();
+    ThreadNodeReport report{node->core.report()};
     report.crashes = node->crashes.value();
     report.restarts = node->restarts.value();
     report.incarnation = node->incarnation.load(std::memory_order_acquire);
@@ -394,7 +216,7 @@ std::vector<ThreadNodeReport> ThreadCluster::reports() const {
 double ThreadCluster::total_live_watts() const {
   double total = 0.0;
   for (const auto& node : nodes_) {
-    total += node->decider.cap() + node->pool.available();
+    total += node->core.decider.cap() + node->core.pool.available();
   }
   return total;
 }

@@ -18,70 +18,36 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/decider.hpp"
-#include "core/pool.hpp"
-#include "core/txn_window.hpp"
-#include "rt/mailbox.hpp"
+#include "rt/node_core.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/registry.hpp"
 
 namespace penelope::rt {
 
-/// Wall-clock microseconds since an arbitrary process-local epoch.
-common::Ticks wall_ticks();
-
 /// A scripted crash–restart for one node, in wall time relative to the
 /// start of run_for. While down the node's pool drops incoming requests
 /// (peers time out, exactly like probing a dead node) and its decider
 /// idles; at `at + down_for` it restarts with a bumped incarnation,
-/// volatile state (both TxnWindows, banked reply-box grants) wiped, and
-/// its orphaned watts self-reclaimed into the pool.
+/// volatile state (request ledger, request window) wiped, and its
+/// orphaned watts self-reclaimed into the pool.
 struct ThreadCrashEvent {
   int node = 0;
   common::Ticks at = 0;
   common::Ticks down_for = common::from_millis(100);
 };
 
-struct ThreadClusterConfig {
+struct ThreadClusterConfig : NodeParams {
   int n_nodes = 4;
-  double initial_cap_watts = 120.0;
-  double epsilon_watts = 5.0;
-  /// Decider period (wall time). Shorter than the paper's 1 s so tests
-  /// and examples converge in human time; the protocol is identical.
-  common::Ticks period = common::from_millis(20);
-  common::Ticks request_timeout = common::from_millis(20);
-  core::PoolConfig pool;
-  power::SafeRange safe_range{.min_watts = 40.0, .max_watts = 250.0};
-  double idle_watts = 40.0;
-  double rapl_tau_seconds = 0.02;  ///< scaled with the shortened period
-  /// Transaction flight-recorder ring size; 0 disables the journal.
-  std::size_t flight_recorder_capacity = 0;
   /// Crash–restart churn schedule; empty (default) disables churn.
   std::vector<ThreadCrashEvent> crash_events;
-  std::uint64_t seed = 42;
 };
 
-/// One step of a node's scripted demand trajectory.
-struct DemandPhase {
-  double demand_watts = 0.0;
-  common::Ticks duration = common::kTicksPerSecond;
-};
-
-struct ThreadNodeReport {
-  int id = 0;
-  double final_cap = 0.0;
-  double final_pool = 0.0;
-  core::DeciderStats decider;
-  core::PoolStats pool;
-  std::uint64_t grants_received = 0;
-  std::uint64_t timeouts = 0;
-  /// Redelivered messages refused by this node's TxnWindows (the mailbox
-  /// transport never duplicates, but the protocol no longer assumes so).
-  std::uint64_t duplicates_dropped = 0;
+/// duplicates_dropped stays 0 on the mailbox transport, which never
+/// duplicates, but the protocol does not assume so.
+struct ThreadNodeReport : NodeReport {
   /// Crash–restart churn bookkeeping.
   std::uint64_t crashes = 0;
   std::uint64_t restarts = 0;
-  std::uint32_t incarnation = 1;
   /// Watts seized by a crash and not yet self-reclaimed (nonzero only
   /// for a node still down when the run ended).
   double orphaned_watts = 0.0;
@@ -127,7 +93,9 @@ class ThreadCluster {
  private:
   struct Node;
 
-  void decider_loop(Node& node, std::stop_token stop);
+  /// The crash plan, run at the top of each of `node`'s periods; false
+  /// while the node is down.
+  bool crash_tick(Node& node, common::Ticks start, common::Ticks now);
   void pool_loop(Node& node, std::stop_token stop);
 
   ThreadClusterConfig config_;

@@ -18,8 +18,6 @@
 namespace penelope::rt {
 
 namespace {
-using Clock = std::chrono::steady_clock;
-
 sockaddr_in loopback_addr(std::uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -32,45 +30,17 @@ sockaddr_in loopback_addr(std::uint16_t port) {
 UdpPenelopeNode::UdpPenelopeNode(UdpNodeConfig config,
                                  std::vector<DemandPhase> demand_script)
     : config_(config),
-      script_(std::move(demand_script)),
-      rapl_([&] {
-        power::SimulatedRaplConfig rc;
-        rc.safe_range = config.safe_range;
-        rc.tau_seconds = config.rapl_tau_seconds;
-        rc.idle_watts = config.idle_watts;
-        rc.initial_cap_watts = config.initial_cap_watts;
-        rc.initial_demand_watts = script_.empty()
-                                      ? config.idle_watts
-                                      : script_.front().demand_watts;
-        rc.seed = config.seed ^ 0x2545f491ULL;
-        return rc;
-      }()),
-      pool_(config.pool),
-      decider_([&] {
-        core::DeciderConfig dc;
-        dc.initial_cap_watts = config.initial_cap_watts;
-        dc.epsilon_watts = config.epsilon_watts;
-        dc.safe_range = config.safe_range;
-        dc.txn_node = config.id;
-        return dc;
-      }(), pool_),
+      core_(config, config.id, std::move(demand_script), recorder_),
       rng_(config.seed ^ (0x9e3779b9ULL * (config.id + 1))),
       rx_rng_(config.seed ^ (0x85ebca6bULL * (config.id + 1))) {
   if (config_.flight_recorder_capacity > 0)
     recorder_.enable(config_.flight_recorder_capacity);
+  core_.register_counters(registry_, "udp");
   telemetry::Labels labels{{"node", std::to_string(config_.id)}};
-  grants_received_ =
-      registry_.counter("udp_grants_applied_total", labels,
-                        "peer grants applied by the decider");
-  timeouts_ = registry_.counter("udp_timeouts_total", labels,
-                                "requests resolved by timeout");
   packets_received_ = registry_.counter(
       "udp_packets_received_total", labels, "datagrams received");
   decode_failures_ = registry_.counter(
       "udp_decode_failures_total", labels, "undecodable datagrams");
-  duplicates_dropped_ =
-      registry_.counter("udp_duplicates_dropped_total", labels,
-                        "redeliveries rejected by a TxnWindow");
   heartbeats_received_ =
       registry_.counter("udp_heartbeats_received_total", labels,
                         "membership beacons decoded");
@@ -128,16 +98,26 @@ void UdpPenelopeNode::start() {
   PEN_CHECK_MSG(!peers_.empty(), "set_peers before start");
   receiver_thread_ =
       std::jthread([this](std::stop_token st) { receiver_loop(st); });
-  decider_thread_ =
-      std::jthread([this](std::stop_token st) { decider_loop(st); });
+  decider_thread_ = std::jthread([this](std::stop_token st) {
+    core_.run(
+        st, [this](common::Ticks) { return decider_tick(); },
+        [this](const core::PowerRequest& request) {
+          const UdpPeer& peer = peers_[rng_.next_below(
+              static_cast<std::uint32_t>(peers_.size()))];
+          return send_frame(peer.port, net::WirePayload{request}, rng_, 0.0)
+                     ? peer.id
+                     : -1;
+        });
+  });
 }
 
 void UdpPenelopeNode::stop_decider() {
   if (decider_thread_.joinable()) {
     decider_thread_.request_stop();
-    grant_box_.close();
+    core_.grants.close();
     decider_thread_.join();
   }
+  settle();
 }
 
 void UdpPenelopeNode::stop_receiver() {
@@ -145,15 +125,14 @@ void UdpPenelopeNode::stop_receiver() {
     receiver_thread_.request_stop();
     receiver_thread_.join();
   }
+  settle();
 }
 
-bool UdpPenelopeNode::send_to_port(
-    std::uint16_t port, const std::vector<std::uint8_t>& bytes) {
-  sockaddr_in addr = loopback_addr(port);
-  ssize_t sent =
-      ::sendto(fd_, bytes.data(), bytes.size(), 0,
-               reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-  return sent == static_cast<ssize_t>(bytes.size());
+void UdpPenelopeNode::settle() {
+  if (decider_thread_.joinable() || receiver_thread_.joinable()) return;
+  for (const core::PowerGrant& grant : undelivered_) core_.accept(grant);
+  undelivered_.clear();
+  core_.drain_grants();
 }
 
 bool UdpPenelopeNode::send_frame(std::uint16_t port,
@@ -171,18 +150,18 @@ bool UdpPenelopeNode::send_frame(std::uint16_t port,
     bytes[byte] ^= static_cast<std::uint8_t>(1u << rng.next_below(8));
     corrupted = true;
   }
-  bool sent = send_to_port(port, bytes);
+  sockaddr_in addr = loopback_addr(port);
+  const bool sent =
+      ::sendto(fd_, bytes.data(), bytes.size(), 0,
+               reinterpret_cast<sockaddr*>(&addr),
+               sizeof addr) == static_cast<ssize_t>(bytes.size());
   if (corrupted && sent) {
     frames_corrupted_.inc();
-    if (watts_at_risk > 0.0) {
-      // The grant left this node's ledger (pool_.serve debited it) and
-      // will never arrive: charge the stranded ledger so the cluster's
-      // conservation identity stays exact.
-      double prev = corrupt_stranded_.load(std::memory_order_relaxed);
-      while (!corrupt_stranded_.compare_exchange_weak(
-          prev, prev + watts_at_risk, std::memory_order_relaxed)) {
-      }
-    }
+    // The grant left this node's ledger (the pool debited it) and will
+    // never arrive: charge the stranded ledger so the cluster's
+    // conservation identity stays exact.
+    if (watts_at_risk > 0.0)
+      corrupt_stranded_.fetch_add(watts_at_risk, std::memory_order_relaxed);
   }
   return sent;
 }
@@ -196,16 +175,12 @@ void UdpPenelopeNode::receiver_loop(std::stop_token stop) {
   std::uint8_t buffer[256];
   while (!stop.stop_requested()) {
     if (crash_requested_.exchange(false, std::memory_order_acq_rel)) {
-      // The restart wipes everything a process loses: the at-most-once
-      // windows and the peers this receiver had vouched for. Grants
-      // already queued for the decider belong to the dead incarnation;
-      // they self-reclaim into the pool so no watts vanish.
-      request_window_.reset();
-      grant_window_.reset();
+      // The restart wipes everything a process loses: the request
+      // window and the peers this receiver had vouched for here, the
+      // grant ledger on the decider thread that owns it.
+      core_.request_window.reset();
       peer_incarnations_.clear();
-      while (auto grant = grant_box_.try_pop()) {
-        if (grant->watts > 0.0) pool_.deposit(grant->watts);
-      }
+      reset_ledger_.store(true, std::memory_order_release);
       incarnation_.fetch_add(1, std::memory_order_acq_rel);
     }
     sockaddr_in from{};
@@ -240,46 +215,16 @@ void UdpPenelopeNode::receiver_loop(std::stop_token stop) {
     auto& payload = checked.payload;
 
     if (const auto* request = std::get_if<core::PowerRequest>(&*payload)) {
-      if (!request_window_.insert(request->txn_id)) {
-        // Redelivered request: the first copy's grant already answered
-        // this transaction; serving again would debit the pool twice.
-        duplicates_dropped_.inc();
-        recorder_.record(wall_ticks(), request->txn_id,
-                         telemetry::TxnEventKind::kDuplicateDropped,
-                         config_.id, -1, 0.0);
-        continue;
-      }
-      double granted = pool_.serve(*request);
-      recorder_.record(wall_ticks(), request->txn_id,
-                       telemetry::TxnEventKind::kRequestServed, config_.id,
-                       -1, granted);
-      core::PowerGrant grant{granted, request->txn_id};
-      if (!send_frame(ntohs(from.sin_port), net::WirePayload{grant},
-                      rx_rng_, granted) &&
-          granted > 0.0) {
-        // Could not answer: the watts must not vanish.
-        pool_.deposit(granted);
-        recorder_.record(wall_ticks(), request->txn_id,
-                         telemetry::TxnEventKind::kBanked, config_.id, -1,
-                         granted);
-      }
+      const std::uint16_t reply_port = ntohs(from.sin_port);
+      core_.serve(*request, [&](const core::PowerGrant& grant) {
+        return send_frame(reply_port, net::WirePayload{grant}, rx_rng_,
+                          grant.watts);
+      });
     } else if (const auto* grant =
                    std::get_if<core::PowerGrant>(&*payload)) {
-      if (!grant_window_.insert(grant->txn_id)) {
-        // Redelivered grant: already applied by the decider or banked.
-        duplicates_dropped_.inc();
-        recorder_.record(wall_ticks(), grant->txn_id,
-                         telemetry::TxnEventKind::kDuplicateDropped,
-                         config_.id, -1, grant->watts);
-        continue;
-      }
-      if (!grant_box_.try_push(*grant) && grant->watts > 0.0) {
-        // Decider gone or box full: bank the power locally.
-        pool_.deposit(grant->watts);
-        recorder_.record(wall_ticks(), grant->txn_id,
-                         telemetry::TxnEventKind::kBanked, config_.id, -1,
-                         grant->watts);
-      }
+      // Dedup and matching happen on the decider thread, which owns the
+      // ledger; a grant it can no longer take waits for settle().
+      if (!core_.grants.try_push(*grant)) undelivered_.push_back(*grant);
     } else if (const auto* beat =
                    std::get_if<core::Heartbeat>(&*payload)) {
       heartbeats_received_.inc();
@@ -299,108 +244,31 @@ void UdpPenelopeNode::receiver_loop(std::stop_token stop) {
   }
 }
 
-void UdpPenelopeNode::decider_loop(std::stop_token stop) {
-  common::set_log_node(config_.id);
-  const common::Ticks start = wall_ticks();
-  std::size_t phase_idx = 0;
-  common::Ticks phase_start = start;
-  if (!script_.empty()) {
-    rapl_.set_demand(script_.front().demand_watts, start);
+bool UdpPenelopeNode::decider_tick() {
+  if (reset_ledger_.exchange(false, std::memory_order_acq_rel)) {
+    // Grants queued for the dead incarnation self-reclaim into the pool
+    // (through the pre-crash ledger, so a duplicate banks nothing); then
+    // the ledger dies with the process.
+    core_.drain_grants();
+    core_.ledger.reset();
   }
-  rapl_.set_cap(decider_.cap());
-
-  common::Ticks next_tick = start + config_.period;
-  while (!stop.stop_requested()) {
-    std::this_thread::sleep_until(Clock::now() +
-                                  std::chrono::microseconds(
-                                      next_tick - wall_ticks()));
-    if (stop.stop_requested()) break;
-    common::Ticks now = wall_ticks();
-
-    if (config_.heartbeats) {
-      // Liveness beacon naming this node's current incarnation; fire
-      // and forget — a lost beacon just means one more missed period on
-      // the peers' suspicion clocks.
-      net::WirePayload beacon{core::Heartbeat{
-          config_.id, incarnation_.load(std::memory_order_acquire)}};
-      for (const auto& peer : peers_) {
-        (void)send_frame(peer.port, beacon, rng_, 0.0);
-      }
+  if (config_.heartbeats) {
+    // Liveness beacon naming this node's current incarnation; fire and
+    // forget — a lost beacon just means one more missed period on the
+    // peers' suspicion clocks.
+    net::WirePayload beacon{core::Heartbeat{
+        config_.id, incarnation_.load(std::memory_order_acquire)}};
+    for (const auto& peer : peers_) {
+      (void)send_frame(peer.port, beacon, rng_, 0.0);
     }
-
-    while (phase_idx + 1 < script_.size() &&
-           now - phase_start >= script_[phase_idx].duration) {
-      phase_start += script_[phase_idx].duration;
-      ++phase_idx;
-      rapl_.set_demand(script_[phase_idx].demand_watts, now);
-    }
-
-    double avg_power = rapl_.read_average_power(now);
-    core::StepOutcome outcome = decider_.begin_step(avg_power);
-    rapl_.set_cap(decider_.cap());
-
-    if (outcome.kind == core::StepKind::kNeedsPeer) {
-      const UdpPeer& peer = peers_[rng_.next_below(
-          static_cast<std::uint32_t>(peers_.size()))];
-      bool matched = false;
-      if (send_frame(peer.port, net::WirePayload{outcome.request}, rng_,
-                     0.0)) {
-        recorder_.record(wall_ticks(), outcome.request.txn_id,
-                         telemetry::TxnEventKind::kRequestSent, config_.id,
-                         peer.id, outcome.request.alpha_watts);
-        const auto deadline = Clock::now() + std::chrono::microseconds(
-                                                 config_.request_timeout);
-        while (!matched) {
-          std::optional<core::PowerGrant> grant =
-              grant_box_.pop_until(deadline);
-          if (!grant) break;  // deadline passed or mailbox closed
-          if (grant->txn_id == outcome.request.txn_id) {
-            decider_.complete_peer_grant(grant->watts);
-            grants_received_.inc();
-            recorder_.record(wall_ticks(), grant->txn_id,
-                             telemetry::TxnEventKind::kGrantReceived,
-                             config_.id, peer.id, grant->watts);
-            matched = true;
-          } else if (grant->watts > 0.0) {
-            pool_.deposit(grant->watts);  // stale round: bank it
-            recorder_.record(wall_ticks(), grant->txn_id,
-                             telemetry::TxnEventKind::kBanked, config_.id,
-                             -1, grant->watts);
-          }
-        }
-      }
-      if (!matched) {
-        decider_.complete_peer_grant(0.0);
-        timeouts_.inc();
-        recorder_.record(wall_ticks(), outcome.request.txn_id,
-                         telemetry::TxnEventKind::kTimeout, config_.id,
-                         peer.id, 0.0);
-      }
-      rapl_.set_cap(decider_.cap());
-    }
-
-    decider_.finish_step();
-    rapl_.set_cap(decider_.cap());
-    next_tick += config_.period;
   }
-
-  // Drain any grants still queued for us into the pool so shutdown
-  // conserves power.
-  while (auto grant = grant_box_.try_pop()) {
-    if (grant->watts > 0.0) pool_.deposit(grant->watts);
-  }
+  return true;
 }
 
 UdpNodeReport UdpPenelopeNode::report() const {
-  UdpNodeReport report;
-  report.id = config_.id;
-  report.final_cap = decider_.cap();
-  report.final_pool = pool_.available();
-  report.grants_received = grants_received_.value();
-  report.timeouts = timeouts_.value();
+  UdpNodeReport report{core_.report()};
   report.packets_received = packets_received_.value();
   report.decode_failures = decode_failures_.value();
-  report.duplicates_dropped = duplicates_dropped_.value();
   report.heartbeats_received = heartbeats_received_.value();
   report.stale_heartbeats = stale_heartbeats_.value();
   report.udp_malformed_dropped = malformed_dropped_.value();
@@ -408,7 +276,6 @@ UdpNodeReport UdpPenelopeNode::report() const {
   report.corrupt_stranded_watts =
       corrupt_stranded_.load(std::memory_order_relaxed);
   report.incarnation = incarnation_.load(std::memory_order_acquire);
-  report.decider = decider_.stats();
   return report;
 }
 

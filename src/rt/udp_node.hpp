@@ -14,8 +14,9 @@
 //     requests are honoured); decodes packets; PowerRequests are served
 //     against the pool and answered inline; PowerGrants are routed to
 //     the decider thread through a mailbox.
-//   * decider thread — wall-clock periodic control loop, identical in
-//     shape to rt::ThreadCluster's.
+//   * decider thread — rt::NodeCore's loop, the same one
+//     rt::ThreadCluster runs. It owns the request ledger, so grant dedup
+//     and matching both happen there.
 #pragma once
 
 #include <atomic>
@@ -28,31 +29,16 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "core/decider.hpp"
-#include "core/pool.hpp"
-#include "core/txn_window.hpp"
 #include "net/codec.hpp"
-#include "power/simulated_rapl.hpp"
-#include "rt/mailbox.hpp"
-#include "rt/thread_cluster.hpp"
+#include "rt/node_core.hpp"
 
 namespace penelope::rt {
 
-struct UdpNodeConfig {
+struct UdpNodeConfig : NodeParams {
   int id = 0;
   /// Port to bind on 127.0.0.1; 0 lets the kernel pick (read it back
   /// via port()).
   std::uint16_t port = 0;
-  double initial_cap_watts = 120.0;
-  double epsilon_watts = 5.0;
-  common::Ticks period = common::from_millis(20);
-  common::Ticks request_timeout = common::from_millis(20);
-  core::PoolConfig pool;
-  power::SafeRange safe_range{.min_watts = 40.0, .max_watts = 250.0};
-  double idle_watts = 40.0;
-  double rapl_tau_seconds = 0.02;
-  /// Transaction flight-recorder ring size; 0 disables the journal.
-  std::size_t flight_recorder_capacity = 0;
   /// Send a membership Heartbeat beacon to every peer each period and
   /// track peer incarnations on receive (PROTOCOL.md "Membership and
   /// incarnations"). Off by default: heartbeats add a datagram per peer
@@ -65,7 +51,6 @@ struct UdpNodeConfig {
   /// corrupt_stranded_watts so conservation stays checkable:
   ///   total_live + corrupt_stranded == budget.
   double corrupt_probability = 0.0;
-  std::uint64_t seed = 42;
 };
 
 struct UdpPeer {
@@ -73,12 +58,9 @@ struct UdpPeer {
   std::uint16_t port = 0;  ///< on 127.0.0.1
 };
 
-struct UdpNodeReport {
-  int id = 0;
-  double final_cap = 0.0;
-  double final_pool = 0.0;
-  std::uint64_t grants_received = 0;
-  std::uint64_t timeouts = 0;
+/// duplicates_dropped counts real redeliveries: UDP genuinely
+/// duplicates, so it can be nonzero on a healthy run.
+struct UdpNodeReport : NodeReport {
   std::uint64_t packets_received = 0;
   std::uint64_t decode_failures = 0;
   /// Datagrams rejected by the checked frame decoder (bad magic, bad
@@ -91,9 +73,6 @@ struct UdpNodeReport {
   /// receiver's checksum, so they leave the live ledger. Conservation
   /// under corruption: sum(cap + pool) + sum(corrupt_stranded) == budget.
   double corrupt_stranded_watts = 0.0;
-  /// Redelivered datagrams refused by the receive-side TxnWindows. UDP
-  /// genuinely duplicates, so this can be nonzero on a healthy run.
-  std::uint64_t duplicates_dropped = 0;
   /// Membership beacons decoded by the receiver (0 unless peers run
   /// with heartbeats enabled).
   std::uint64_t heartbeats_received = 0;
@@ -101,9 +80,6 @@ struct UdpNodeReport {
   /// peer: quarantined (counted, otherwise ignored) so a reordered
   /// pre-crash beacon can never pass for fresh liveness evidence.
   std::uint64_t stale_heartbeats = 0;
-  /// This node's crash counter: 1 + the number of crash_restart()s.
-  std::uint32_t incarnation = 1;
-  core::DeciderStats decider;
 };
 
 class UdpPenelopeNode {
@@ -138,10 +114,11 @@ class UdpPenelopeNode {
 
   /// Simulate a process crash followed by an immediate restart: the
   /// receiver thread wipes its volatile state at the next datagram
-  /// boundary — both TxnWindows reset (the at-most-once history is
-  /// gone, exactly what a real restart loses), grants queued for the
-  /// dead decider incarnation drain into the pool (self-reclaim, so
-  /// conservation holds), and the incarnation bumps. Subsequent
+  /// boundary — the request window and peer incarnations — and bumps
+  /// the incarnation; at its next period the decider thread banks the
+  /// grants queued for the dead incarnation into the pool (self-reclaim,
+  /// so conservation holds) and then wipes the ledger (the at-most-once
+  /// history is gone, exactly what a real restart loses). Subsequent
   /// heartbeats advertise the new incarnation; peers quarantine any
   /// stale pre-crash beacon still floating in the kernel's buffers.
   /// Safe to call from any thread while the node is running.
@@ -151,8 +128,8 @@ class UdpPenelopeNode {
   }
 
   UdpNodeReport report() const;
-  double cap() const { return decider_.cap(); }
-  double pool_watts() const { return pool_.available(); }
+  double cap() const { return core_.decider.cap(); }
+  double pool_watts() const { return core_.pool.available(); }
 
   /// This node's registry snapshot (counters labeled with its id).
   std::vector<telemetry::MetricSample> metrics_snapshot() const {
@@ -164,9 +141,12 @@ class UdpPenelopeNode {
 
  private:
   void receiver_loop(std::stop_token stop);
-  void decider_loop(std::stop_token stop);
-  bool send_to_port(std::uint16_t port,
-                    const std::vector<std::uint8_t>& bytes);
+  /// The decider thread's duties at the top of each period: a pending
+  /// crash's ledger wipe, then heartbeats.
+  bool decider_tick();
+  /// Once both threads are joined, bank every grant the decider never
+  /// took, through the ledger.
+  void settle();
   /// Encode `payload` as a checksummed frame and send it; applies the
   /// corruption nemesis when armed. `rng` must belong to the calling
   /// thread. `watts_at_risk` is the power this frame carries: if the
@@ -177,16 +157,22 @@ class UdpPenelopeNode {
                   common::Rng& rng, double watts_at_risk);
 
   UdpNodeConfig config_;
-  std::vector<DemandPhase> script_;
   std::vector<UdpPeer> peers_;
   int fd_ = -1;
   std::uint16_t bound_port_ = 0;
   std::string error_;
 
-  power::SimulatedRapl rapl_;
-  core::PowerPool pool_;
-  core::Decider decider_;
-  Mailbox<core::PowerGrant> grant_box_;
+  /// Registry-backed counters (receiver + decider threads update them
+  /// lock-free; snapshot aggregates the shards).
+  telemetry::MetricsRegistry registry_{telemetry::Concurrency::kSharded};
+  telemetry::FlightRecorder recorder_;
+  /// Pool and request window: receiver thread. Decider and ledger:
+  /// decider thread. core_.grants carries grants between the two.
+  NodeCore core_;
+  /// Grants that arrived after the decider stopped (or with its mailbox
+  /// full); receiver-owned until settle().
+  std::vector<core::PowerGrant> undelivered_;
+  std::atomic<bool> reset_ledger_{false};
   common::Rng rng_;
   /// Corruption-nemesis draws for frames sent from the receiver thread
   /// (grant replies); rng_ covers the decider thread's sends. Two
@@ -195,11 +181,6 @@ class UdpPenelopeNode {
   /// Watts stranded by corrupted grant frames (receiver + decider
   /// threads both send grants' worth of power, so this is atomic).
   std::atomic<double> corrupt_stranded_{0.0};
-  /// At-most-once receive windows, both owned by the receiver thread:
-  /// every datagram — request or grant — is deduplicated before it can
-  /// touch the pool or reach the decider's mailbox.
-  core::TxnWindow request_window_;
-  core::TxnWindow grant_window_;
   /// Highest incarnation heard per peer; receiver-thread owned.
   std::map<std::int32_t, std::uint32_t> peer_incarnations_;
   /// Crash counter; bumped by the receiver thread when it executes a
@@ -207,15 +188,8 @@ class UdpPenelopeNode {
   std::atomic<std::uint32_t> incarnation_{1};
   std::atomic<bool> crash_requested_{false};
 
-  /// Registry-backed counters (receiver + decider threads update them
-  /// lock-free; snapshot aggregates the shards).
-  telemetry::MetricsRegistry registry_{telemetry::Concurrency::kSharded};
-  telemetry::FlightRecorder recorder_;
-  telemetry::Counter grants_received_;
-  telemetry::Counter timeouts_;
   telemetry::Counter packets_received_;
   telemetry::Counter decode_failures_;
-  telemetry::Counter duplicates_dropped_;
   telemetry::Counter heartbeats_received_;
   telemetry::Counter stale_heartbeats_;
   telemetry::Counter malformed_dropped_;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <unordered_map>
 
 #include "central/protocol.hpp"
 #include "core/protocol.hpp"
@@ -165,39 +164,6 @@ TEST(PenelopeNodeActor, KillManagementFreezesCapButAppRuns) {
   EXPECT_DOUBLE_EQ(f.donor->cap(), donor_cap);
   EXPECT_FALSE(f.donor->body().app_done());
   EXPECT_GT(f.donor->body().fraction_complete(), 0.0);
-}
-
-TEST(BoundStaleMap, UnderTheCapNothingIsTouched) {
-  std::unordered_map<std::uint64_t, common::Ticks> stale;
-  for (std::uint64_t t = 1; t <= 10; ++t) stale[t] = common::Ticks(t);
-  // Even with a horizon that would prune everything, a map under the cap
-  // is left alone — pruning is purely a memory bound, not a semantic
-  // expiry (late grants against small maps must still match).
-  bound_stale_map(stale, /*horizon=*/1000, /*cap=*/16);
-  EXPECT_EQ(stale.size(), 10u);
-}
-
-TEST(BoundStaleMap, HorizonPruneDropsExpiredEntriesFirst) {
-  std::unordered_map<std::uint64_t, common::Ticks> stale;
-  for (std::uint64_t t = 1; t <= 300; ++t) stale[t] = common::Ticks(t);
-  bound_stale_map(stale, /*horizon=*/100, /*cap=*/256);
-  // Entries older than the horizon go; the survivors are under the cap,
-  // so no further eviction is needed.
-  EXPECT_EQ(stale.size(), 201u);
-  EXPECT_FALSE(stale.contains(99));
-  EXPECT_TRUE(stale.contains(100));
-  EXPECT_TRUE(stale.contains(300));
-}
-
-TEST(BoundStaleMap, HardCapEvictsOldestWhenEverythingIsRecent) {
-  // A loss burst can make every entry recent: the horizon prune deletes
-  // nothing and the hard cap must evict oldest-first.
-  std::unordered_map<std::uint64_t, common::Ticks> stale;
-  for (std::uint64_t t = 1; t <= 300; ++t) stale[t] = common::Ticks(t);
-  bound_stale_map(stale, /*horizon=*/0, /*cap=*/256);
-  EXPECT_EQ(stale.size(), 256u);
-  for (std::uint64_t t = 1; t <= 44; ++t) EXPECT_FALSE(stale.contains(t));
-  for (std::uint64_t t = 45; t <= 300; ++t) EXPECT_TRUE(stale.contains(t));
 }
 
 TEST(PenelopeNodeActor, StaleMapStaysBoundedUnderSustainedLoss) {

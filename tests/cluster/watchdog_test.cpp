@@ -6,6 +6,9 @@
 // only go flat when every incomplete node's management plane is gone.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 
 namespace penelope::cluster {
@@ -88,6 +91,43 @@ TEST(Watchdog, SingleManagementKillIsNotAWedge) {
   RunResult result = cluster.run();
   EXPECT_FALSE(result.wedged);
   EXPECT_TRUE(result.all_completed);
+}
+
+TEST(Watchdog, DumpIsBoundedAndListsCrashedNodesFirst) {
+  // At scale the dump must stay readable: at most 16 node lines, the
+  // crashed node ahead of the merely wedged ones, then a count of the
+  // rest.
+  ClusterConfig cc = watchdog_config();
+  cc.n_nodes = 40;
+  cc.watchdog_s = 3.0;
+  constexpr int kCrashed = 25;
+  cc.faults.push_back(FaultEvent{FaultEvent::Kind::kCrashNode,
+                                 common::from_seconds(1.0), kCrashed});
+  for (int i = 0; i < cc.n_nodes; ++i) {
+    if (i == kCrashed) continue;
+    cc.faults.push_back(FaultEvent{FaultEvent::Kind::kKillManagement,
+                                   common::from_seconds(2.0), i});
+  }
+  Cluster cluster = make_cluster(cc);
+  testing::internal::CaptureStderr();
+  RunResult result = cluster.run();
+  const std::string dump = testing::internal::GetCapturedStderr();
+  ASSERT_TRUE(result.wedged);
+
+  std::vector<std::string> node_lines;
+  std::size_t pos = 0;
+  while ((pos = dump.find("  node ", pos)) != std::string::npos) {
+    std::size_t end = dump.find('\n', pos);
+    node_lines.push_back(dump.substr(pos, end - pos));
+    pos = end;
+  }
+  ASSERT_EQ(node_lines.size(), 16u) << dump;
+  EXPECT_NE(node_lines.front().find("node 25: running CRASHED"),
+            std::string::npos)
+      << node_lines.front();
+  EXPECT_NE(node_lines[1].find("node 0: running"), std::string::npos)
+      << node_lines[1];
+  EXPECT_NE(dump.find("... 24 more nodes"), std::string::npos) << dump;
 }
 
 }  // namespace
